@@ -55,9 +55,10 @@ smoke-ingest:
 # fuzz corpora under testdata/fuzz (no live fuzzing; use `go test -fuzz`
 # for that). Explicit in verify so a format change that breaks a saved
 # hostile input fails loudly by name. Covers both untrusted-byte
-# decoders: the binary trace codec and the cluster RPC wire protocol.
+# decoders (the binary trace codec and the cluster RPC wire protocol)
+# and the interpreter-vs-VM session parity scripts.
 fuzz-corpus:
-	$(GO) test -run 'RoundTrip|^Fuzz' -count 1 ./internal/trace/ ./internal/cluster/wire/
+	$(GO) test -run 'RoundTrip|^Fuzz' -count 1 ./internal/trace/ ./internal/cluster/wire/ ./internal/vm/
 
 # End-to-end check of distributed Multilisp: gateway + two workers, a
 # dml session whose pcall spawns land on real workers over the binary

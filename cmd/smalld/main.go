@@ -1,7 +1,8 @@
 // Command smalld serves the SMALL machine over HTTP: stateful Lisp
-// sessions (plain interpreter or direct execution on a core.Machine) and
-// stateless Chapter-5 simulation/experiment jobs, with a bounded
-// admission queue, explicit backpressure, and Prometheus metrics.
+// sessions (the bytecode VM by default, the plain interpreter, or direct
+// execution on a core.Machine) and stateless Chapter-5
+// simulation/experiment jobs, with a bounded admission queue, explicit
+// backpressure, and Prometheus metrics.
 //
 // One binary, three roles:
 //

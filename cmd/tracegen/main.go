@@ -1,12 +1,11 @@
-// Command tracegen runs the benchmark suite under the tracing interpreter
-// and writes the list access trace files consumed by cmd/locality and
+// Command tracegen runs the benchmark suite on the bytecode VM and
+// writes the list access trace files consumed by cmd/locality and
 // cmd/smallsim.
 //
 //	tracegen -out traces/                  # all five benchmarks at scale 2
 //	tracegen -bench lyra -scale 4 -out traces/
 //	tracegen -format binary -out traces/   # compact .btrace files ("SMTB")
 //	tracegen -format refs -out traces/     # preprocessed .refs streams ("SMRS")
-//	tracegen -engine vm -out traces/       # generate on the bytecode VM
 //	tracegen -format refs -noindex ...     # omit the SMTX index footer
 //
 // Binary and refs files carry an SMTX index footer by default: a
@@ -14,10 +13,9 @@
 // shards without decoding every event. -noindex writes the pre-index
 // format for compatibility testing; all readers accept both.
 //
-// The vm engine compiles each benchmark to SMALL stack-machine bytecode
-// and runs it on internal/vm; its traces are byte-identical to the
-// interpreter's (asserted by the differential test in internal/vm) and
-// generate several times faster.
+// Each benchmark compiles to SMALL stack-machine bytecode and runs on
+// internal/vm; its traces are byte-identical to the tree-walking
+// interpreter's (asserted by the differential tests in internal/vm).
 //
 // Readers (smallsim, locality, smalld) sniff the leading magic bytes, so
 // every format is accepted everywhere a trace file is; text remains the
@@ -49,17 +47,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeOne traces one benchmark on the selected engine and encodes it in
-// the requested format, closing (and on failure removing) the output
-// file on every path.
-func writeOne(dir string, b benchprogs.Benchmark, scale int, format, engine string, noIndex bool) error {
-	var t *trace.Trace
-	var err error
-	if engine == "vm" {
-		t, err = benchprogs.TraceVM(b, scale)
-	} else {
-		t, err = benchprogs.Trace(b, scale)
-	}
+// writeOne traces one benchmark and encodes it in the requested format,
+// closing (and on failure removing) the output file on every path.
+func writeOne(dir string, b benchprogs.Benchmark, scale int, format string, noIndex bool) error {
+	t, err := benchprogs.Trace(b, scale)
 	if err != nil {
 		return err
 	}
@@ -113,7 +104,6 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name (default: all)")
 	scale := flag.Int("scale", 2, "workload scale")
 	format := flag.String("format", "text", `output format: "text", "binary" (compact varint), or "refs" (preprocessed stream)`)
-	engine := flag.String("engine", "interp", `evaluation engine: "interp" (tree-walking) or "vm" (bytecode, faster, identical traces)`)
 	noIndex := flag.Bool("noindex", false, `omit the SMTX index footer on binary/refs output (pre-index compatible files)`)
 	flag.Parse()
 
@@ -121,12 +111,6 @@ func main() {
 	case "text", "binary", "refs":
 	default:
 		fmt.Fprintf(os.Stderr, "tracegen: unknown format %q (want text, binary, or refs)\n", *format)
-		os.Exit(2)
-	}
-	switch *engine {
-	case "interp", "vm":
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown engine %q (want interp or vm)\n", *engine)
 		os.Exit(2)
 	}
 	var list []benchprogs.Benchmark
@@ -146,7 +130,7 @@ func main() {
 	}
 	exit := 0
 	for _, b := range list {
-		if err := writeOne(*out, b, *scale, *format, *engine, *noIndex); err != nil {
+		if err := writeOne(*out, b, *scale, *format, *noIndex); err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: %s: %v\n", b.Name, err)
 			exit = 1
 		}

@@ -136,11 +136,12 @@ func main() {
 		var events int
 		interpTraceRes := measure(*reps, func(bb *testing.B) {
 			for i := 0; i < bb.N; i++ {
-				t, err := benchprogs.Trace(b, *scale)
-				if err != nil {
+				col := lisp.NewCollector(b.Name)
+				in := lisp.New(lisp.WithTrace(col), lisp.WithStepLimit(200_000_000))
+				if _, err := in.Run(b.Gen(*scale)); err != nil {
 					bb.Fatal(err)
 				}
-				events = len(t.Events)
+				events = len(col.T.Events)
 			}
 		})
 		var vmEvents int

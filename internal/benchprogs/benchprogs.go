@@ -17,10 +17,12 @@
 package benchprogs
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/lisp"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -56,33 +58,30 @@ func ByName(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
-// Trace runs the benchmark at the given scale under a tracing interpreter
-// and returns the collected trace.
+// Trace runs the benchmark at the given scale on the bytecode VM and
+// returns the collected trace. The stream is byte-identical to the one
+// the tree-walking interpreter produces; the differential tests in
+// internal/vm hold the two engines to that.
 func Trace(b Benchmark, scale int) (*trace.Trace, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	col := lisp.NewCollector(b.Name)
-	in := lisp.New(lisp.WithTrace(col), lisp.WithStepLimit(200_000_000))
-	if _, err := in.Run(b.Gen(scale)); err != nil {
-		return nil, fmt.Errorf("benchprogs: %s: %w", b.Name, err)
-	}
-	return &col.T, nil
+	return TraceCtx(context.Background(), b, scale)
 }
 
-// TraceVM runs the benchmark compiled for the bytecode VM under the
-// same collector. Trace and TraceVM produce byte-identical streams;
-// the differential test in internal/vm asserts it on every benchmark.
-func TraceVM(b Benchmark, scale int) (*trace.Trace, error) {
+// TraceCtx is Trace under ctx: generation stops with ctx's error once
+// ctx is done.
+func TraceCtx(ctx context.Context, b Benchmark, scale int) (*trace.Trace, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	col := lisp.NewCollector(b.Name)
 	prog, err := vm.Compile(b.Gen(scale))
 	if err != nil {
 		return nil, fmt.Errorf("benchprogs: %s: %w", b.Name, err)
 	}
-	v := vm.New(prog, vm.WithTrace(col), vm.WithStepLimit(200_000_000))
+	col := lisp.NewCollector(b.Name)
+	// The table grows on demand, so a large one costs only what the run
+	// uses, and no run pays for pseudo-overflow compression.
+	m := core.NewMachine(core.Config{LPTSize: 1 << 16})
+	v := vm.New(prog, vm.WithTrace(col), vm.WithMachine(m), vm.WithStepLimit(200_000_000))
+	v.SetContext(ctx)
 	if _, err := v.Run(); err != nil {
 		return nil, fmt.Errorf("benchprogs: %s: %w", b.Name, err)
 	}

@@ -1,6 +1,8 @@
 package benchprogs
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/trace"
@@ -134,5 +136,16 @@ func TestDeterministicTraces(t *testing.T) {
 		if a.Events[i].Op != b.Events[i].Op || a.Events[i].Result != b.Events[i].Result {
 			t.Fatalf("event %d differs", i)
 		}
+	}
+}
+
+// TestTraceCtxStopsWhenCancelled: trace generation polls its context,
+// so a caller that has gone away stops the run.
+func TestTraceCtxStopsWhenCancelled(t *testing.T) {
+	b, _ := ByName("lyra")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := TraceCtx(ctx, b, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TraceCtx on a cancelled context: %v, want context.Canceled", err)
 	}
 }

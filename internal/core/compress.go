@@ -68,7 +68,7 @@ func (m *Machine) childToWord(c child) (heap.Word, int, error) {
 	case childNil:
 		return heap.NilWord, 0, nil
 	case childAtom:
-		return c.atom, 0, nil
+		return c.atom(), 0, nil
 	case childEntry:
 		ce := m.lpt.get(c.id)
 		w := ce.addr
@@ -89,7 +89,7 @@ func (m *Machine) childToWord(c child) (heap.Word, int, error) {
 func (m *Machine) compress() (int, error) {
 	m.lpt.stats.PseudoOverflow++
 	freed := 0
-	for id := EntryID(1); int(id) <= m.lpt.size(); id++ {
+	for id := EntryID(1); int(id) < len(m.lpt.entries); id++ {
 		if !m.compressible(id) {
 			continue
 		}

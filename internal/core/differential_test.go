@@ -246,7 +246,7 @@ func TestRefcountAudit(t *testing.T) {
 	}
 	// Audit: internal references per entry.
 	internal := make(map[EntryID]int32)
-	for id := EntryID(1); int(id) <= m.lpt.size(); id++ {
+	for id := EntryID(1); int(id) < len(m.lpt.entries); id++ {
 		if !m.lpt.valid(id) {
 			continue
 		}
@@ -264,7 +264,7 @@ func TestRefcountAudit(t *testing.T) {
 			eph[v.ID]++
 		}
 	}
-	for id := EntryID(1); int(id) <= m.lpt.size(); id++ {
+	for id := EntryID(1); int(id) < len(m.lpt.entries); id++ {
 		if !m.lpt.valid(id) {
 			continue
 		}
@@ -274,7 +274,7 @@ func TestRefcountAudit(t *testing.T) {
 		// until their slot is reused, so live counts may exceed the audit
 		// by the number of stale references. Count those too.
 		stale := int32(0)
-		for sid := EntryID(1); int(sid) <= m.lpt.size(); sid++ {
+		for sid := EntryID(1); int(sid) < len(m.lpt.entries); sid++ {
 			se := m.lpt.get(sid)
 			if se.inUse || (se.car.kind == 0 && se.cdr.kind == 0) {
 				continue

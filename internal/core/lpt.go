@@ -35,12 +35,18 @@ const (
 	childEntry
 )
 
-// child is the car or cdr field of an LPT entry.
+// child is the car or cdr field of an LPT entry, packed into 8 bytes:
+// an entry identifier, or an atom word split into its tag and value.
 type child struct {
 	kind childKind
-	id   EntryID   // when childEntry
-	atom heap.Word // when childAtom
+	tag  heap.Tag // the atom word's tag, when childAtom
+	id   EntryID  // when childEntry; the atom word's value when childAtom
 }
+
+func atomChild(w heap.Word) child { return child{kind: childAtom, tag: w.Tag, id: EntryID(w.Val)} }
+
+// atom returns the word of a childAtom field.
+func (c child) atom() heap.Word { return heap.Word{Tag: c.tag, Val: int32(c.id)} }
 
 // entry is one LPT row (Fig 4.2): identifier (the index), car, cdr,
 // reference count, heap address, and mark bit. The free stack is threaded
@@ -104,9 +110,19 @@ const (
 )
 
 // lpt is the List Processor Table.
+//
+// Under the free-stack discipline the table grows on demand: entries
+// holds the sentinel plus every identifier handed out so far, and the
+// free stack holds freed entries only. An eagerly stacked table pops
+// identifiers 1, 2, 3, ... in order, so its free stack is always the
+// freed entries (most recent first) followed by the never-used ones in
+// ascending order; takeFree reproduces that order by handing out the
+// next never-used identifier once the stack is empty. The FIFO ablation
+// keeps the eager table.
 type lpt struct {
-	entries []entry
-	freeTop EntryID // top of the free stack; 0 = empty
+	entries  []entry
+	capacity int     // usable identifiers are 1..capacity
+	freeTop  EntryID // top of the free stack; 0 = empty
 	// freeFIFO holds the free list under the FreeQueue discipline;
 	// fifoHead indexes the next entry to reuse so dequeuing never
 	// reslices storage away.
@@ -136,15 +152,13 @@ func newLPT(size int, policy DecrementPolicy, disc FreeDiscipline) *lpt {
 }
 
 // reset reinitialises the table for a fresh run, reusing the entry array
-// and auxiliary slices when their capacities suffice. A reset table is
-// behaviourally identical to newLPT(size, policy, disc).
+// and auxiliary slices. Only the entries used since the last reset are
+// cleared. A reset table is behaviourally identical to newLPT(size,
+// policy, disc).
 func (t *lpt) reset(size int, policy DecrementPolicy, disc FreeDiscipline) {
-	if t.entries != nil && cap(t.entries) >= size+1 {
-		t.entries = t.entries[:size+1]
-		clear(t.entries)
-	} else {
-		t.entries = make([]entry, size+1)
-	}
+	clear(t.entries)
+	t.entries = append(t.entries[:0], entry{}) // the sentinel
+	t.capacity = size
 	t.freeTop = 0
 	t.freeFIFO = t.freeFIFO[:0]
 	t.fifoHead = 0
@@ -156,13 +170,20 @@ func (t *lpt) reset(size int, policy DecrementPolicy, disc FreeDiscipline) {
 	t.occupancySum = 0
 	t.occupancySamples = 0
 	t.pendingHeapFrees = t.pendingHeapFrees[:0]
-	for i := size; i >= 1; i-- {
-		t.putFree(EntryID(i))
+	if disc == FreeQueue {
+		t.entries = append(t.entries, make([]entry, size)...)
+		for i := size; i >= 1; i-- {
+			t.putFree(EntryID(i))
+		}
 	}
 }
 
-func (t *lpt) size() int { return len(t.entries) - 1 }
+// size returns the table's capacity in entries.
+func (t *lpt) size() int { return t.capacity }
 
+// get returns an entry that has been handed out at least once. Its
+// pointer is valid only until the next allocation, which may grow the
+// table.
 func (t *lpt) get(id EntryID) *entry {
 	return &t.entries[id]
 }
@@ -186,11 +207,15 @@ func (t *lpt) takeFree() EntryID {
 		}
 		return id
 	}
-	id := t.freeTop
-	if id != 0 {
+	if id := t.freeTop; id != 0 {
 		t.freeTop = t.entries[id].freeLink
+		return id
 	}
-	return id
+	if n := len(t.entries); n <= t.capacity {
+		t.entries = heap.GrowWithin(t.entries, t.capacity+1)
+		return EntryID(n)
+	}
+	return 0
 }
 
 // putFree records a freed entry for reuse.

@@ -289,7 +289,7 @@ func wordToValue(w heap.Word) Value {
 	switch w.Tag {
 	case heap.TagNil:
 		return NilValue
-	case heap.TagAtom:
+	case heap.TagAtom, heap.TagInt:
 		return Value{Kind: VAtom, Atom: w}
 	default:
 		return Value{Kind: VHeap, Addr: w}
@@ -340,7 +340,7 @@ func (m *Machine) childValue(c child) Value {
 	case childNil:
 		return NilValue
 	case childAtom:
-		return Value{Kind: VAtom, Atom: c.atom}
+		return Value{Kind: VAtom, Atom: c.atom()}
 	case childEntry:
 		return m.retained(c.id)
 	default:
@@ -354,8 +354,8 @@ func (m *Machine) wordToChild(w heap.Word) (child, error) {
 	switch w.Tag {
 	case heap.TagNil:
 		return child{kind: childNil}, nil
-	case heap.TagAtom:
-		return child{kind: childAtom, atom: w}, nil
+	case heap.TagAtom, heap.TagInt:
+		return atomChild(w), nil
 	default:
 		id, err := m.allocEntry()
 		if err != nil {
@@ -464,6 +464,7 @@ func (m *Machine) access(v Value, wantCar bool) (Value, error) {
 				// No room for child entries: the parent object is intact;
 				// serve the access straight from the heap in overflow
 				// mode, uncached (§4.3.2.3).
+				e = m.lpt.get(v.ID)
 				m.enterOverflow()
 				m.stats.OverflowOps++
 				var w heap.Word
@@ -509,7 +510,7 @@ func (m *Machine) valueToChild(v Value) (child, error) {
 	case VNil:
 		return child{kind: childNil}, nil
 	case VAtom:
-		return child{kind: childAtom, atom: v.Atom}, nil
+		return atomChild(v.Atom), nil
 	case VList:
 		if !m.lpt.valid(v.ID) {
 			return child{}, fmt.Errorf("core: stale identifier %d", v.ID)
@@ -708,7 +709,7 @@ func (m *Machine) childToWordDeep(c child) (heap.Word, error) {
 	case childNil:
 		return heap.NilWord, nil
 	case childAtom:
-		return c.atom, nil
+		return c.atom(), nil
 	case childEntry:
 		return m.valueToWord(Value{Kind: VList, ID: c.id})
 	default:
@@ -752,7 +753,7 @@ func (m *Machine) childValueOf(c child) (sexpr.Value, error) {
 	case childNil:
 		return nil, nil
 	case childAtom:
-		return m.heap.Atoms().Value(c.atom)
+		return m.heap.Atoms().Value(c.atom())
 	case childEntry:
 		return m.ValueOf(Value{Kind: VList, ID: c.id})
 	default:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/heap"
 	"repro/internal/sexpr"
@@ -88,7 +89,7 @@ func (m *Machine) cursorChildren(c textCursor) (car, cdr textCursor, err error) 
 func childCursor(c child) textCursor {
 	switch c.kind {
 	case childAtom:
-		return textCursor{isWord: true, w: c.atom}
+		return textCursor{isWord: true, w: c.atom()}
 	case childEntry:
 		return textCursor{id: c.id}
 	default:
@@ -135,12 +136,15 @@ func (m *Machine) appendCursor(buf []byte, c textCursor) ([]byte, error) {
 	}
 }
 
-// appendAtomText appends the printed form of an atom or nil word. The
-// rendered text is cached per atom-table index; the table only grows
-// between machine Resets, so the cache cannot go stale.
+// appendAtomText appends the printed form of an atom, immediate integer
+// or nil word. Atom-table texts are cached per index; the table only
+// grows between machine Resets, so the cache cannot go stale.
 func (m *Machine) appendAtomText(buf []byte, w heap.Word) ([]byte, error) {
-	if w.Tag == heap.TagNil {
+	switch w.Tag {
+	case heap.TagNil:
 		return append(buf, "nil"...), nil
+	case heap.TagInt:
+		return strconv.AppendInt(buf, int64(w.Val), 10), nil
 	}
 	i := int(w.Val)
 	if i >= 0 && i < len(m.atomText) && m.atomText[i] != "" {

@@ -33,6 +33,9 @@ const (
 	// TagInvisible is an invisible pointer (§2.3.2): hardware-dereferenced
 	// forwarding used by cdr-coded heaps after rplacd.
 	TagInvisible
+	// TagInt is an immediate integer: Val holds the value itself, so an
+	// integer that fits in 32 bits needs no atom-table entry.
+	TagInt
 )
 
 // Word is one tagged memory word.
@@ -43,6 +46,15 @@ type Word struct {
 
 // NilWord is the nil-valued word.
 var NilWord = Word{Tag: TagNil}
+
+// IntWord returns the immediate word for i, or ok false when i does not
+// fit in a word's 32-bit value.
+func IntWord(i int64) (w Word, ok bool) {
+	if i != int64(int32(i)) {
+		return NilWord, false
+	}
+	return Word{Tag: TagInt, Val: int32(i)}, true
+}
 
 // ErrNoSpace is returned when a heap cannot allocate.
 var ErrNoSpace = errors.New("heap: out of space")
@@ -84,11 +96,16 @@ func (a *Atoms) Intern(v sexpr.Value) Word {
 	return Word{Tag: TagAtom, Val: i}
 }
 
+// Len returns the number of interned atoms.
+func (a *Atoms) Len() int { return len(a.vals) }
+
 // Value returns the atom denoted by w.
 func (a *Atoms) Value(w Word) (sexpr.Value, error) {
 	switch w.Tag {
 	case TagNil:
 		return nil, nil
+	case TagInt:
+		return sexpr.Int(w.Val), nil
 	case TagAtom:
 		if int(w.Val) >= len(a.vals) {
 			return nil, ErrBadAddress
@@ -120,7 +137,7 @@ type Representation interface {
 // helper shared by implementations.
 func decodeVia(r Representation, atoms *Atoms, w Word) (sexpr.Value, error) {
 	switch w.Tag {
-	case TagNil, TagAtom:
+	case TagNil, TagAtom, TagInt:
 		return atoms.Value(w)
 	}
 	car, err := r.Car(w)

@@ -12,13 +12,22 @@ import (
 // representation (§3.1) — no exception cases — and the substrate below
 // the SMALL heap controller's split/merge operations and the collectors
 // in internal/gc.
+//
+// Storage grows on demand. cells holds only the addresses handed out so
+// far; the free list threads freed cells only. An eagerly threaded heap
+// lists its cells in address order, so its free list is always the freed
+// cells (most recent first) followed by the never-used cells in address
+// order. Alloc reproduces exactly that order, taking the next never-used
+// address once no freed cell is left, so every address is the one the
+// eager heap would have chosen.
 type TwoPtr struct {
-	cells   []cell
-	free    int32 // head of the free list, threaded through Cdr.Val; -1 = none
-	nFree   int
-	atoms   *Atoms
-	touches int64
-	allocs  int64
+	cells    []cell // addresses 0..len-1 have been handed out at least once
+	capacity int
+	free     int32 // head of the freed-cell list, threaded through Cdr.Val; -1 = none
+	nFree    int   // free cells: freed plus never used
+	atoms    *Atoms
+	touches  int64
+	allocs   int64
 }
 
 type cell struct {
@@ -36,15 +45,13 @@ func NewTwoPtr(capacity int) *TwoPtr {
 }
 
 // Reset reinitialises the heap to an empty state with the given capacity,
-// reusing the cell array and atom table storage when their capacities
-// suffice. A reset heap behaves identically to NewTwoPtr(capacity).
+// reusing the cell array and atom table storage. Only the cells handed
+// out since the last Reset are cleared. A reset heap behaves identically
+// to NewTwoPtr(capacity).
 func (h *TwoPtr) Reset(capacity int) {
-	if h.cells != nil && cap(h.cells) >= capacity {
-		h.cells = h.cells[:capacity]
-		clear(h.cells)
-	} else {
-		h.cells = make([]cell, capacity)
-	}
+	clear(h.cells)
+	h.cells = h.cells[:0]
+	h.capacity = capacity
 	if h.atoms == nil {
 		h.atoms = NewAtoms()
 	} else {
@@ -54,13 +61,6 @@ func (h *TwoPtr) Reset(capacity int) {
 	h.nFree = capacity
 	h.touches = 0
 	h.allocs = 0
-	// Thread the free list through the cells in address order, so fresh
-	// allocation walks memory sequentially (this is what makes naive cons
-	// linearize lists well, per Clark's observation in §3.2.1).
-	for i := capacity - 1; i >= 0; i-- {
-		h.cells[i].Cdr.Val = h.free
-		h.free = int32(i)
-	}
 }
 
 // Atoms exposes the heap's atom table.
@@ -70,7 +70,7 @@ func (h *TwoPtr) Atoms() *Atoms { return h.atoms }
 func (h *TwoPtr) Name() string { return "twoptr" }
 
 // Capacity returns the total cell count.
-func (h *TwoPtr) Capacity() int { return len(h.cells) }
+func (h *TwoPtr) Capacity() int { return h.capacity }
 
 // FreeCells returns the number of cells on the free list.
 func (h *TwoPtr) FreeCells() int { return h.nFree }
@@ -82,19 +82,30 @@ func (h *TwoPtr) Allocs() int64 { return h.allocs }
 func (h *TwoPtr) Touches() int64 { return h.touches }
 
 // Words implements Representation: two words per live cell.
-func (h *TwoPtr) Words() int { return 2 * (len(h.cells) - h.nFree) }
+func (h *TwoPtr) Words() int { return 2 * (h.capacity - h.nFree) }
 
-// Alloc takes a cell from the free list and initialises it.
+// Alloc takes the most recently freed cell, or else the lowest
+// never-used address, and initialises it. Fresh allocation thus walks
+// memory sequentially, which is what makes naive cons linearize lists
+// well (Clark's observation in §3.2.1).
 func (h *TwoPtr) Alloc(car, cdr Word) (int32, error) {
-	if h.free == freeEnd {
+	c := cell{Car: car, Cdr: cdr, used: true}
+	var addr int32
+	switch {
+	case h.free != freeEnd:
+		addr = h.free
+		h.free = h.cells[addr].Cdr.Val
+		h.cells[addr] = c
+	case len(h.cells) < h.capacity:
+		addr = int32(len(h.cells))
+		h.cells = GrowWithin(h.cells, h.capacity)
+		h.cells[addr] = c
+	default:
 		return 0, ErrNoSpace
 	}
-	addr := h.free
-	h.free = h.cells[addr].Cdr.Val
 	h.nFree--
 	h.allocs++
 	h.touches += 2
-	h.cells[addr] = cell{Car: car, Cdr: cdr, used: true}
 	return addr, nil
 }
 
@@ -102,6 +113,9 @@ func (h *TwoPtr) Alloc(car, cdr Word) (int32, error) {
 func (h *TwoPtr) FreeCell(addr int32) error {
 	if err := h.check(addr); err != nil {
 		return err
+	}
+	if int(addr) >= len(h.cells) {
+		return fmt.Errorf("%w: %d is free", ErrBadAddress, addr)
 	}
 	h.cells[addr] = cell{Cdr: Word{Val: h.free}}
 	h.free = addr
@@ -124,7 +138,7 @@ func (h *TwoPtr) FreeTree(w Word) int {
 		if w.Tag != TagCell || seen[w.Val] {
 			continue
 		}
-		if h.check(w.Val) != nil || !h.cells[w.Val].used {
+		if !h.inUse(w.Val) {
 			continue
 		}
 		seen[w.Val] = true
@@ -137,8 +151,13 @@ func (h *TwoPtr) FreeTree(w Word) int {
 	return freed
 }
 
+// inUse reports whether addr holds a live cell.
+func (h *TwoPtr) inUse(addr int32) bool {
+	return addr >= 0 && int(addr) < len(h.cells) && h.cells[addr].used
+}
+
 func (h *TwoPtr) check(addr int32) error {
-	if addr < 0 || int(addr) >= len(h.cells) {
+	if addr < 0 || int(addr) >= h.capacity {
 		return fmt.Errorf("%w: %d", ErrBadAddress, addr)
 	}
 	return nil
@@ -152,7 +171,7 @@ func (h *TwoPtr) deref(w Word) (int32, error) {
 	if err := h.check(w.Val); err != nil {
 		return 0, err
 	}
-	if !h.cells[w.Val].used {
+	if !h.inUse(w.Val) {
 		return 0, fmt.Errorf("%w: %d is free", ErrBadAddress, w.Val)
 	}
 	return w.Val, nil
@@ -299,7 +318,7 @@ func (h *TwoPtr) Linearize(roots []Word) ([]Word, error) {
 		}
 	}
 	// Reset the heap.
-	fresh := NewTwoPtr(len(h.cells))
+	fresh := NewTwoPtr(h.capacity)
 	fresh.atoms = h.atoms
 	forward := make(map[int32]int32)
 	var relocate func(w Word) (Word, error)
@@ -343,6 +362,19 @@ func (h *TwoPtr) Linearize(roots []Word) ([]Word, error) {
 	}
 	*h = *fresh
 	return newRoots, nil
+}
+
+// GrowWithin extends s by one zero element. Storage doubles as append's
+// does, but never beyond limit elements, so a table grown on demand
+// never holds more than its capacity.
+func GrowWithin[T any](s []T, limit int) []T {
+	if n := len(s); n == cap(s) {
+		grown := make([]T, n, min(max(2*n, 16), limit))
+		copy(grown, s)
+		s = grown
+	}
+	var zero T
+	return append(s, zero)
 }
 
 func absInt(x int) int {

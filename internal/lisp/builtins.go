@@ -3,6 +3,8 @@ package lisp
 import (
 	"fmt"
 	"regexp"
+	"slices"
+	"sync"
 
 	"repro/internal/sexpr"
 )
@@ -52,6 +54,38 @@ func (in *Interp) rplacdT(c *sexpr.Cell, v sexpr.Value) sexpr.Value {
 }
 
 var cxrPattern = regexp.MustCompile(`^c([ad]{2,4})r$`)
+
+// builtinNames holds the special forms and primitives of a stock
+// interpreter.
+var builtinNames = sync.OnceValue(func() map[sexpr.Symbol]bool {
+	in := New()
+	names := make(map[sexpr.Symbol]bool, len(in.specs)+len(in.prims))
+	for n := range in.specs {
+		names[n] = true
+	}
+	for n := range in.prims {
+		names[n] = true
+	}
+	return names
+})
+
+// IsBuiltin reports whether a stock interpreter evaluates a call of name
+// itself, as a special form, a primitive or a composite accessor
+// (cadr .. cddddr). It never calls a user function of such a name.
+func IsBuiltin(name sexpr.Symbol) bool {
+	return builtinNames()[name] || cxrPattern.MatchString(string(name))
+}
+
+// Builtins returns the special forms and primitives of a stock
+// interpreter, sorted; IsBuiltin also accepts the composite accessors.
+func Builtins() []sexpr.Symbol {
+	out := make([]sexpr.Symbol, 0, len(builtinNames()))
+	for n := range builtinNames() {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
+}
 
 func (in *Interp) installPrims() {
 	p := func(traced bool, fn func(*Interp, []sexpr.Value) (sexpr.Value, error)) primitive {

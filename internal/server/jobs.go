@@ -161,10 +161,11 @@ func badRequestf(format string, args ...any) error {
 }
 
 // resolveStream produces the reference stream for a sim job, either by
-// generating a built-in benchmark trace or by decoding a user-supplied
-// payload through the hardened decoders. The second return is the
-// number of user payload bytes decoded (0 for built-in benchmarks).
-func resolveStream(req *SimRequest) (*trace.Stream, int64, error) {
+// generating a built-in benchmark trace, which stops once ctx is done,
+// or by decoding a user-supplied payload through the hardened decoders.
+// The second return is the number of user payload bytes decoded (0 for
+// built-in benchmarks).
+func resolveStream(ctx context.Context, req *SimRequest) (*trace.Stream, int64, error) {
 	switch {
 	case len(req.TraceData) > 0:
 		t, st, err := trace.ReadAuto(bytes.NewReader(req.TraceData))
@@ -200,7 +201,7 @@ func resolveStream(req *SimRequest) (*trace.Stream, int64, error) {
 		if scale <= 0 {
 			scale = 2
 		}
-		t, err := benchprogs.Trace(b, scale)
+		t, err := benchprogs.TraceCtx(ctx, b, scale)
 		if err != nil {
 			return nil, 0, fmt.Errorf("generating %s trace: %w", req.Trace, err)
 		}
@@ -213,7 +214,7 @@ func resolveStream(req *SimRequest) (*trace.Stream, int64, error) {
 // runSim executes a sim job under ctx, fanning multi-point requests out
 // through the parsweep engine.
 func runSim(ctx context.Context, req *SimRequest) (*SimResponse, error) {
-	st, decoded, err := resolveStream(req)
+	st, decoded, err := resolveStream(ctx, req)
 	if err != nil {
 		return nil, err
 	}

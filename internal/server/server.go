@@ -346,7 +346,7 @@ type SessionCreateRequest struct {
 	// empty assigns a server-local ID. The cluster gateway sets this so
 	// the session lands on the worker its ID hashes to.
 	ID        string `json:"id,omitempty"`
-	Backend   string `json:"backend,omitempty"`    // "lisp" (default), "small", "vm", or "dml"
+	Backend   string `json:"backend,omitempty"`    // "vm" (default), "lisp", "small", or "dml"
 	StepLimit int64  `json:"step_limit,omitempty"` // per-eval budget
 	TableSize int    `json:"table_size,omitempty"` // small/vm backend LPT entries
 }

@@ -19,15 +19,19 @@ import (
 // Session backends.
 const (
 	// BackendLisp evaluates on the plain internal/lisp interpreter — the
-	// instrumented-interpreter half of the thesis.
+	// instrumented-interpreter half of the thesis, and the whole
+	// language: select it for forms outside the vm backend's language
+	// (if, progn, while, lambda values, funcall/apply/mapcar, floats,
+	// strings, n-ary arithmetic).
 	BackendLisp = "lisp"
 	// BackendSmall evaluates directly on a SMALL machine via
 	// internal/smalllisp: every car/cdr/cons goes through the LP request
 	// interface, so session stats expose live LPT counters.
 	BackendSmall = "small"
 	// BackendVM compiles each eval to SMALL stack-machine bytecode and
-	// runs it on internal/vm — the unboxed fast path; list traffic still
-	// flows through the LP, so LPT counters stay live.
+	// runs it on internal/vm — the unboxed fast path and the default;
+	// each def compiles and links once, and list traffic still flows
+	// through the LP, so LPT counters stay live.
 	BackendVM = "vm"
 	// BackendDML evaluates Multilisp with pcall/future/touch special
 	// forms: spawnable subexpressions run on dml workers behind the
@@ -73,7 +77,8 @@ type SessionInfo struct {
 	LastUsed time.Time `json:"last_used"`
 	Evals    int64     `json:"evals"`
 	Steps    int64     `json:"steps"`
-	// Machine is present for the small backend only.
+	// Machine is present for the backends that run on a SMALL machine:
+	// vm (the default) and small.
 	Machine *MachineInfo `json:"machine,omitempty"`
 }
 
@@ -141,14 +146,14 @@ func ValidSessionID(id string) bool {
 
 // create builds a session on the given backend. id == "" assigns the
 // next server-local ID; a non-empty id must be valid and unused.
-// stepLimit <= 0 takes the default per-eval budget; tableSize sizes the
-// small backend's LPT.
+// An empty backend selects vm. stepLimit <= 0 takes the default
+// per-eval budget; tableSize sizes the small and vm backends' LPT.
 func (ss *sessions) create(id, backend string, stepLimit int64, tableSize int) (*session, error) {
 	if id != "" && !ValidSessionID(id) {
 		return nil, fmt.Errorf("invalid session id %q (want 1-64 chars of [a-zA-Z0-9._-])", id)
 	}
 	if backend == "" {
-		backend = BackendLisp
+		backend = BackendVM
 	}
 	if stepLimit <= 0 {
 		stepLimit = defaultStepBudget

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"repro/internal/lisp"
 	"repro/internal/sexpr"
 )
 
@@ -23,10 +24,38 @@ func cerrf(form sexpr.Value, format string, args ...any) error {
 	return &CompileError{Msg: fmt.Sprintf(format, args...), Form: form}
 }
 
-// compiler holds compilation state.
+// outsideLanguage builds the error for a form the interpreter evaluates
+// but the VM does not compile, naming the session option that selects
+// the interpreter.
+func outsideLanguage(what string, form sexpr.Value) error {
+	return cerrf(form, "%s %s", what, outsideLanguageHint)
+}
+
+const outsideLanguageHint = `is outside the vm backend's language (create the session with "backend":"lisp" to use it)`
+
+// vmBuiltin reports whether call compiles a call of head itself, as a
+// special form or a primitive, rather than as a call of a user function.
+func vmBuiltin(head sexpr.Symbol) bool {
+	switch head {
+	case "quote", "cond", "let", "prog", "go", "return", "setq", "and", "or", symRead, "print", "putprop":
+		return true
+	}
+	_, un := unOps[head]
+	_, bin := binOps[head]
+	_, eq := eqModes[head]
+	_, nary := naryOps[head]
+	_, _, cxr := cxrName(head)
+	return un || bin || eq || nary || cxr
+}
+
+// compiler compiles one unit: a function body or a batch of top-level
+// forms, separately compiled code whose jump targets are unit-relative
+// and whose FCALL targets are left for the linker. guard, when set,
+// reports whether a call of the named function must check at run time,
+// before its arguments are evaluated, that the function is defined.
 type compiler struct {
-	prog    *Program
-	pending []patch // forward FCALLs to backpatch
+	code  []Instr
+	guard func(name string) bool
 }
 
 type patch struct {
@@ -43,6 +72,12 @@ type fnCompiler struct {
 	// labels/gotos implement prog labels.
 	labels map[string]int
 	gotos  []patch
+	// progs counts the progs around the position being compiled;
+	// ownProg is set inside a prog whose value is the function's, and
+	// tail while the form being compiled gives the function its value.
+	progs   int
+	ownProg bool
+	tail    bool
 }
 
 // Compile translates a program: any number of (def name (lambda ...))
@@ -55,49 +90,34 @@ func Compile(src string) (*Program, error) {
 	return CompileForms(forms)
 }
 
-// CompileForms compiles parsed forms.
+// CompileForms compiles parsed forms into a standalone program. Every
+// def is bound before the top-level expressions run, whatever its
+// position, and every called function must be defined.
 func CompileForms(forms []sexpr.Value) (*Program, error) {
-	c := &compiler{prog: &Program{Funcs: make(map[string]*FuncInfo)}}
-	var tops []sexpr.Value
-	// First pass: compile function definitions; collect top-level forms.
+	l := newLinker()
+	top := newTopCompiler(nil)
 	for _, f := range forms {
-		if isDef(f) {
-			if err := c.compileDef(f); err != nil {
+		if !isDef(f) {
+			if err := top.form(f); err != nil {
 				return nil, err
 			}
-		} else {
-			tops = append(tops, f)
+			continue
 		}
-	}
-	// Entry: top-level expressions in sequence.
-	c.prog.Entry = len(c.prog.Code)
-	fc := c.newFn()
-	if len(tops) == 0 {
-		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
-	}
-	for i, f := range tops {
-		if err := fc.expr(f); err != nil {
+		name, nargs, code, err := compileDef(f, nil)
+		if err != nil {
 			return nil, err
 		}
-		if i < len(tops)-1 {
-			fc.emit(Instr{Op: OpPop})
-		}
+		l.bind(l.place(name, nargs, code))
 	}
-	fc.emit(Instr{Op: OpHalt})
-	if err := fc.resolveGotos(); err != nil {
+	code, err := top.finish()
+	if err != nil {
 		return nil, err
 	}
-	// Backpatch forward calls.
-	for _, p := range c.pending {
-		fn, ok := c.prog.Funcs[p.name]
-		if !ok {
-			return nil, cerrf(sexpr.Symbol(p.name), "undefined function")
-		}
-		c.prog.Code[p.at].Target = fn.Entry
+	l.prog.Entry = l.add(code)
+	if name, ok := l.firstUndefined(); ok {
+		return nil, cerrf(sexpr.Symbol(name), "undefined function")
 	}
-	// Peephole fusion runs last, over fully resolved targets.
-	optimize(c.prog)
-	return c.prog, nil
+	return l.prog, nil
 }
 
 func isDef(f sexpr.Value) bool {
@@ -105,21 +125,79 @@ func isDef(f sexpr.Value) bool {
 	return ok && (c.Car == sexpr.Symbol("def") || c.Car == sexpr.Symbol("defun"))
 }
 
+// topCompiler compiles top-level forms, in order, into one unit that
+// leaves the last form's value (nil when there is none) on the stack and
+// halts.
+type topCompiler struct {
+	fc *fnCompiler
+	n  int // forms so far
+}
+
+func newTopCompiler(guard func(string) bool) *topCompiler {
+	c := &compiler{guard: guard}
+	return &topCompiler{fc: c.newFn()}
+}
+
+// next discards the previous form's value.
+func (t *topCompiler) next() {
+	if t.n > 0 {
+		t.fc.emit(Instr{Op: OpPop})
+	}
+	t.n++
+}
+
+// form compiles one top-level expression.
+func (t *topCompiler) form(f sexpr.Value) error {
+	t.next()
+	return t.fc.expr(f)
+}
+
+// emit adds one instruction that computes a form's value.
+func (t *topCompiler) emit(ins Instr) {
+	t.next()
+	t.fc.emit(ins)
+}
+
+// finish completes and optimizes the unit.
+func (t *topCompiler) finish() ([]Instr, error) {
+	if t.n == 0 {
+		t.fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
+	}
+	t.fc.emit(Instr{Op: OpHalt})
+	if err := t.fc.resolveGotos(); err != nil {
+		return nil, err
+	}
+	return optimize(t.fc.c.code), nil
+}
+
 func (c *compiler) newFn() *fnCompiler {
 	return &fnCompiler{c: c, vars: make(map[string]int64), labels: make(map[string]int)}
 }
 
-func (c *compiler) compileDef(f sexpr.Value) error {
+// defName returns the name a def form defines.
+func defName(f sexpr.Value) (sexpr.Symbol, error) {
 	name, ok := sexpr.Car(sexpr.Cdr(f)).(sexpr.Symbol)
 	if !ok {
-		return cerrf(f, "def of non-symbol")
+		return "", cerrf(f, "def of non-symbol")
+	}
+	return name, nil
+}
+
+// compileDef compiles a def or defun form into a function unit.
+func compileDef(f sexpr.Value, guard func(string) bool) (name string, nargs int, code []Instr, err error) {
+	sym, err := defName(f)
+	if err != nil {
+		return "", 0, nil, err
 	}
 	var params sexpr.Value
 	var body sexpr.Value
 	if sexpr.Car(f) == sexpr.Symbol("def") {
 		lam := sexpr.Car(sexpr.Cdr(sexpr.Cdr(f)))
 		if sexpr.Car(lam) != sexpr.Symbol("lambda") {
-			return cerrf(f, "def requires a lambda")
+			if _, ok := lam.(*sexpr.Cell); ok {
+				return "", 0, nil, outsideLanguage("a def of "+sexpr.String(sexpr.Car(lam)), f)
+			}
+			return "", 0, nil, cerrf(f, "def requires a lambda")
 		}
 		params = sexpr.Car(sexpr.Cdr(lam))
 		body = sexpr.Cdr(sexpr.Cdr(lam))
@@ -127,9 +205,8 @@ func (c *compiler) compileDef(f sexpr.Value) error {
 		params = sexpr.Car(sexpr.Cdr(sexpr.Cdr(f)))
 		body = sexpr.Cdr(sexpr.Cdr(sexpr.Cdr(f)))
 	}
+	c := &compiler{guard: guard}
 	fc := c.newFn()
-	entry := len(c.prog.Code)
-	nargs := 0
 	for p := params; ; {
 		pc, ok := p.(*sexpr.Cell)
 		if !ok {
@@ -137,7 +214,7 @@ func (c *compiler) compileDef(f sexpr.Value) error {
 		}
 		pname, ok := pc.Car.(sexpr.Symbol)
 		if !ok {
-			return cerrf(f, "non-symbol parameter")
+			return "", 0, nil, cerrf(f, "non-symbol parameter")
 		}
 		fc.bind(string(pname))
 		nargs++
@@ -153,8 +230,10 @@ func (c *compiler) compileDef(f sexpr.Value) error {
 		if n > 0 {
 			fc.emit(Instr{Op: OpPop})
 		}
+		_, more := bc.Cdr.(*sexpr.Cell)
+		fc.tail = !more
 		if err := fc.expr(bc.Car); err != nil {
-			return err
+			return "", 0, nil, err
 		}
 		n++
 		b = bc.Cdr
@@ -164,26 +243,59 @@ func (c *compiler) compileDef(f sexpr.Value) error {
 	}
 	fc.emit(Instr{Op: OpFRetn})
 	if err := fc.resolveGotos(); err != nil {
-		return err
+		return "", 0, nil, err
 	}
-	c.prog.Funcs[string(name)] = &FuncInfo{
-		Name: string(name), NArgs: nargs, Entry: entry, End: len(c.prog.Code),
-	}
-	return nil
+	return string(sym), nargs, optimize(c.code), nil
 }
 
 func (fc *fnCompiler) emit(i Instr) int {
-	fc.c.prog.Code = append(fc.c.prog.Code, i)
-	return len(fc.c.prog.Code) - 1
+	fc.c.code = append(fc.c.code, i)
+	return len(fc.c.code) - 1
 }
 
-func (fc *fnCompiler) here() int { return len(fc.c.prog.Code) }
+func (fc *fnCompiler) here() int { return len(fc.c.code) }
+
+// setTarget points the jump at pc at target.
+func (fc *fnCompiler) setTarget(pc, target int) { fc.c.code[pc].Target = int32(target) }
 
 // bind declares a new frame variable and emits its BINDN.
 func (fc *fnCompiler) bind(name string) {
 	fc.nvars++
 	fc.vars[name] = fc.nvars
-	fc.emit(Instr{Op: OpBindN, Sym: name})
+	fc.emit(Instr{Op: OpBindN, Sym: name, Arg: fc.nvars})
+}
+
+// scope records the variables a let or prog is about to bind, so that
+// endScope can end their scope with the construct.
+type scope struct {
+	first int64 // the construct's first frame slot
+	saved map[string]int64
+}
+
+func (fc *fnCompiler) beginScope(names []string) scope {
+	sc := scope{first: fc.nvars + 1, saved: make(map[string]int64, len(names))}
+	for _, n := range names {
+		if _, seen := sc.saved[n]; !seen {
+			sc.saved[n] = fc.vars[n] // 0: not bound outside
+		}
+	}
+	return sc
+}
+
+// endScope restores the compile-time bindings the construct shadowed and
+// emits the UNBIND that hides its slots from dynamic lookup: the
+// interpreter drops a let's or prog's bindings when it ends.
+func (fc *fnCompiler) endScope(sc scope) {
+	for n, off := range sc.saved {
+		if off == 0 {
+			delete(fc.vars, n)
+		} else {
+			fc.vars[n] = off
+		}
+	}
+	if fc.nvars >= sc.first {
+		fc.emit(Instr{Op: OpUnbind, Arg: sc.first})
+	}
 }
 
 func (fc *fnCompiler) resolveGotos() error {
@@ -192,9 +304,9 @@ func (fc *fnCompiler) resolveGotos() error {
 		if !ok {
 			return cerrf(sexpr.Symbol(g.name), "go to undefined label")
 		}
-		fc.c.prog.Code[g.at].Target = target
+		fc.setTarget(g.at, target)
 	}
-	fc.gotos = nil
+	fc.gotos = fc.gotos[:0]
 	return nil
 }
 
@@ -219,6 +331,18 @@ var unOps = map[sexpr.Symbol]Opcode{
 	"length": OpLength,
 }
 
+// eqModes gives the equality mode (the Arg of OpEqualP and OpNEqualP)
+// of each equality predicate.
+var eqModes = map[sexpr.Symbol]int64{
+	"equal": eqStructural, "eq": eqIdentity, "=": eqNumeric,
+}
+
+// naryArith names the binOps the interpreter folds over any number of
+// arguments; the VM compiles their two-argument form only.
+var naryArith = map[sexpr.Symbol]bool{
+	"+": true, "add": true, "-": true, "subtract": true, "*": true, "times": true,
+}
+
 // naryOps take any number of arguments pushed left to right, with the
 // count in Arg.
 var naryOps = map[sexpr.Symbol]Opcode{
@@ -231,6 +355,8 @@ const symRead = sexpr.Symbol("read")
 
 // expr compiles one expression, leaving its value on the stack.
 func (fc *fnCompiler) expr(f sexpr.Value) error {
+	tail := fc.tail
+	fc.tail = false
 	switch t := f.(type) {
 	case nil:
 		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
@@ -239,6 +365,9 @@ func (fc *fnCompiler) expr(f sexpr.Value) error {
 		fc.emit(Instr{Op: OpPushSym, Arg: int64(t)})
 		return nil
 	case sexpr.Symbol:
+		if t == "T" {
+			t = "t"
+		}
 		if t == "t" || t == "nil" {
 			fc.emit(Instr{Op: OpPushSym, Sym: string(t)})
 			return nil
@@ -251,36 +380,46 @@ func (fc *fnCompiler) expr(f sexpr.Value) error {
 		}
 		return nil
 	case *sexpr.Cell:
-		return fc.call(t)
+		return fc.call(t, tail)
+	case sexpr.Float:
+		return outsideLanguage("a float", f)
+	case sexpr.Str:
+		return outsideLanguage("a string", f)
 	default:
 		return cerrf(f, "cannot compile")
 	}
 }
 
-func (fc *fnCompiler) call(f *sexpr.Cell) error {
+func (fc *fnCompiler) call(f *sexpr.Cell, tail bool) error {
 	head, ok := f.Car.(sexpr.Symbol)
 	if !ok {
+		if sexpr.Car(f.Car) == sexpr.Symbol("lambda") {
+			return outsideLanguage("a lambda application", f)
+		}
 		return cerrf(f, "bad function position")
+	}
+	// The interpreter never calls a user function that one of its
+	// builtins shadows, so a builtin the VM does not compile is an error.
+	if !vmBuiltin(head) && lisp.IsBuiltin(head) {
+		return outsideLanguage(string(head), f)
 	}
 	args := listElems(f.Cdr)
 	switch head {
 	case "quote":
-		if len(args) != 1 {
-			return cerrf(f, "quote wants one form")
-		}
-		return fc.quoted(args[0])
+		return fc.quoted(sexpr.Car(f.Cdr)) // (quote) is nil, as in the interpreter
 	case "cond":
-		return fc.cond(args)
+		return fc.cond(args, tail)
 	case "let":
-		return fc.letForm(args)
+		return fc.letForm(args, tail)
 	case "prog":
-		return fc.progForm(args)
+		return fc.progForm(args, tail)
 	case "go":
-		if len(args) != 1 {
+		label, ok := sexpr.Car(f.Cdr).(sexpr.Symbol)
+		if !ok || len(args) != 1 {
 			return cerrf(f, "go wants a label")
 		}
 		at := fc.emit(Instr{Op: OpJump})
-		fc.gotos = append(fc.gotos, patch{at: at, name: string(args[0].(sexpr.Symbol))})
+		fc.gotos = append(fc.gotos, patch{at: at, name: string(label)})
 		// go never falls through, but the expression grammar wants a
 		// value; emit an unreachable nil for stack-shape regularity.
 		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
@@ -288,6 +427,12 @@ func (fc *fnCompiler) call(f *sexpr.Cell) error {
 	case "return":
 		if len(args) != 1 {
 			return cerrf(f, "return wants a value")
+		}
+		// FRETN leaves the function. That is where the interpreter's return
+		// goes from outside any prog, and from a prog whose value is the
+		// function's; from any other prog it goes on after that prog.
+		if fc.progs > 1 || fc.progs == 1 && !fc.ownProg {
+			return outsideLanguage("a return from a prog whose value is not the function's", f)
 		}
 		if err := fc.expr(args[0]); err != nil {
 			return err
@@ -317,29 +462,21 @@ func (fc *fnCompiler) call(f *sexpr.Cell) error {
 		return fc.andOr(args, false)
 	case symRead:
 		// (read var): read a list and bind it to var (Fig 4.15's RDLIST).
-		if len(args) != 1 {
-			return cerrf(f, "read wants a variable")
-		}
-		name, ok := args[0].(sexpr.Symbol)
-		if !ok {
-			return cerrf(f, "read into non-symbol")
-		}
+		name, _ := sexpr.Car(f.Cdr).(sexpr.Symbol)
 		off, ok := fc.vars[string(name)]
-		if !ok {
-			return cerrf(f, "read into unknown variable")
+		if !ok || len(args) != 1 {
+			return outsideLanguage("read of other than one local variable", f)
 		}
 		fc.emit(Instr{Op: OpRdList, Arg: off})
-		fc.emit(Instr{Op: OpPushStk, Arg: off})
 		return nil
-	case "write", "print":
+	case "print":
 		if len(args) != 1 {
-			return cerrf(f, "write wants one value")
+			return outsideLanguage("print of other than one value", f)
 		}
 		if err := fc.expr(args[0]); err != nil {
 			return err
 		}
-		fc.emit(Instr{Op: OpWrList})
-		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
+		fc.emit(Instr{Op: OpWrList}) // the printed value stays as the result
 		return nil
 	}
 	if op, ok := unOps[head]; ok {
@@ -352,8 +489,24 @@ func (fc *fnCompiler) call(f *sexpr.Cell) error {
 		fc.emit(Instr{Op: op})
 		return nil
 	}
+	if mode, ok := eqModes[head]; ok {
+		if len(args) != 2 {
+			return cerrf(f, "%s wants two arguments", head)
+		}
+		if err := fc.expr(args[0]); err != nil {
+			return err
+		}
+		if err := fc.expr(args[1]); err != nil {
+			return err
+		}
+		fc.emit(Instr{Op: OpEqualP, Arg: mode})
+		return nil
+	}
 	if op, ok := binOps[head]; ok {
 		if len(args) != 2 {
+			if naryArith[head] {
+				return outsideLanguage(fmt.Sprintf("%s of %d arguments", head, len(args)), f)
+			}
 			return cerrf(f, "%s wants two arguments", head)
 		}
 		if err := fc.expr(args[0]); err != nil {
@@ -406,28 +559,30 @@ func (fc *fnCompiler) call(f *sexpr.Cell) error {
 		}
 		return nil
 	}
-	// User function call: push arguments, FCALL.
+	// User function call: push arguments, FCALL. The linker resolves
+	// the target. A callee that may still be undefined when the call
+	// runs is checked first, since the interpreter reports an undefined
+	// function before it evaluates any argument.
+	if fc.c.guard != nil && fc.c.guard(string(head)) {
+		fc.emit(Instr{Op: OpFGuard, Sym: string(head)})
+	}
 	for _, a := range args {
 		if err := fc.expr(a); err != nil {
 			return err
 		}
 	}
-	at := fc.emit(Instr{Op: OpFCall, Sym: string(head), Arg: int64(len(args))})
-	if fn, ok := fc.c.prog.Funcs[string(head)]; ok {
-		fc.c.prog.Code[at].Target = fn.Entry
-	} else {
-		fc.c.pending = append(fc.c.pending, patch{at: at, name: string(head)})
-	}
+	fc.emit(Instr{Op: OpFCall, Sym: string(head), Arg: int64(len(args))})
 	return nil
 }
 
 // cxrName recognises composite accessors (cadr .. cddddr): a leading c,
-// a trailing r, and 2-8 a/d letters between. The returned mask/steps
-// follow the OpCxr encoding: step j (low bit first) is the j-th letter
-// from the right, bit set for car.
+// a trailing r, and 2-4 a/d letters between, the interpreter's range (a
+// longer name is an ordinary function name there). The returned
+// mask/steps follow the OpCxr encoding: step j (low bit first) is the
+// j-th letter from the right, bit set for car.
 func cxrName(head sexpr.Symbol) (steps int, mask uint8, ok bool) {
 	s := string(head)
-	if len(s) < 4 || len(s) > 10 || s[0] != 'c' || s[len(s)-1] != 'r' {
+	if len(s) < 4 || len(s) > 6 || s[0] != 'c' || s[len(s)-1] != 'r' {
 		return 0, 0, false
 	}
 	mid := s[1 : len(s)-1]
@@ -471,7 +626,8 @@ func (fc *fnCompiler) quoted(v sexpr.Value) error {
 
 // cond compiles (cond (c1 b1...) ...). The fused NEQUALP of Fig 4.14 is
 // used when a condition is a two-argument equality test.
-func (fc *fnCompiler) cond(legs []sexpr.Value) error {
+// tail reports whether the cond gives the function its value.
+func (fc *fnCompiler) cond(legs []sexpr.Value, tail bool) error {
 	var endJumps []int
 	sawT := false
 	for _, leg := range legs {
@@ -482,16 +638,29 @@ func (fc *fnCompiler) cond(legs []sexpr.Value) error {
 		test := lc.Car
 		body := listElems(lc.Cdr)
 		isFinalT := test == sexpr.Symbol("t")
+		if len(body) == 0 && !isFinalT {
+			// A leg with no body returns the test's value: branch on a
+			// copy and keep the original when it is non-nil.
+			if err := fc.expr(test); err != nil {
+				return err
+			}
+			fc.emit(Instr{Op: OpDup})
+			next := fc.emit(Instr{Op: OpBrNil})
+			endJumps = append(endJumps, fc.emit(Instr{Op: OpJump}))
+			fc.setTarget(next, fc.here())
+			fc.emit(Instr{Op: OpPop})
+			continue
+		}
 		skip := -1
 		if !isFinalT {
-			if a, b, ok := equalityTest(test); ok {
+			if a, b, mode, ok := equalityTest(test); ok {
 				if err := fc.expr(a); err != nil {
 					return err
 				}
 				if err := fc.expr(b); err != nil {
 					return err
 				}
-				skip = fc.emit(Instr{Op: OpNEqualP})
+				skip = fc.emit(Instr{Op: OpNEqualP, Arg: mode})
 			} else {
 				if err := fc.expr(test); err != nil {
 					return err
@@ -499,24 +668,21 @@ func (fc *fnCompiler) cond(legs []sexpr.Value) error {
 				skip = fc.emit(Instr{Op: OpBrNil})
 			}
 		}
-		if len(body) == 0 {
-			// A leg with no body returns the test's value; re-evaluate it
-			// (the tested copy was consumed by the branch).
-			if err := fc.expr(test); err != nil {
-				return err
-			}
+		if len(body) == 0 { // (t): the leg's value is t
+			fc.emit(Instr{Op: OpPushSym, Sym: "t"})
 		}
 		for i, b := range body {
 			if i > 0 {
 				fc.emit(Instr{Op: OpPop})
 			}
+			fc.tail = tail && i == len(body)-1
 			if err := fc.expr(b); err != nil {
 				return err
 			}
 		}
 		endJumps = append(endJumps, fc.emit(Instr{Op: OpJump}))
 		if skip >= 0 {
-			fc.c.prog.Code[skip].Target = fc.here()
+			fc.setTarget(skip, fc.here())
 		}
 		if isFinalT {
 			sawT = true
@@ -528,32 +694,31 @@ func (fc *fnCompiler) cond(legs []sexpr.Value) error {
 	}
 	end := fc.here()
 	for _, j := range endJumps {
-		fc.c.prog.Code[j].Target = end
+		fc.setTarget(j, end)
 	}
 	return nil
 }
 
 // equalityTest recognises (= a b) / (equal a b) / (eq a b).
-func equalityTest(test sexpr.Value) (a, b sexpr.Value, ok bool) {
+func equalityTest(test sexpr.Value) (a, b sexpr.Value, mode int64, ok bool) {
 	c, isCell := test.(*sexpr.Cell)
 	if !isCell {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
-	switch c.Car {
-	case sexpr.Symbol("="), sexpr.Symbol("equal"), sexpr.Symbol("eq"):
-		args := listElems(c.Cdr)
-		if len(args) == 2 {
-			return args[0], args[1], true
-		}
+	head, _ := c.Car.(sexpr.Symbol)
+	mode, isEq := eqModes[head]
+	if args := listElems(c.Cdr); isEq && len(args) == 2 {
+		return args[0], args[1], mode, true
 	}
-	return nil, nil, false
+	return nil, nil, 0, false
 }
 
 // letForm compiles (let ((name val)...) body...): the initialisers are
 // evaluated, then bound as fresh frame variables via BINDN with the
 // values routed through the pending-argument channel of the frame — the
 // same mechanism function entry uses.
-func (fc *fnCompiler) letForm(args []sexpr.Value) error {
+// tail reports whether the let gives the function its value.
+func (fc *fnCompiler) letForm(args []sexpr.Value, tail bool) error {
 	if len(args) == 0 {
 		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
 		return nil
@@ -589,41 +754,57 @@ func (fc *fnCompiler) letForm(args []sexpr.Value) error {
 			return err
 		}
 	}
-	for _, sp := range specs {
-		fc.bind(string(sp.name))
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = string(sp.name)
+	}
+	sc := fc.beginScope(names)
+	for _, n := range names {
+		fc.bind(n)
 	}
 	for i := len(specs) - 1; i >= 0; i-- {
-		fc.emit(Instr{Op: OpSetq, Arg: fc.vars[string(specs[i].name)]})
+		fc.emit(Instr{Op: OpSetq, Arg: fc.vars[names[i]]})
 		fc.emit(Instr{Op: OpPop})
 	}
 	body := args[1:]
 	if len(body) == 0 {
 		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
-		return nil
 	}
 	for i, b := range body {
 		if i > 0 {
 			fc.emit(Instr{Op: OpPop})
 		}
+		fc.tail = tail && i == len(body)-1
 		if err := fc.expr(b); err != nil {
 			return err
 		}
 	}
+	fc.endScope(sc)
 	return nil
 }
 
-// progForm compiles (prog (locals...) body...) with labels and go.
-func (fc *fnCompiler) progForm(args []sexpr.Value) error {
+// progForm compiles (prog (locals...) body...) with labels and go; tail
+// reports whether the prog gives the function its value.
+func (fc *fnCompiler) progForm(args []sexpr.Value, tail bool) error {
+	saved := fc.ownProg
+	fc.progs++
+	fc.ownProg = tail
+	defer func() { fc.progs--; fc.ownProg = saved }()
 	if len(args) == 0 {
 		fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
 		return nil
 	}
+	var names []string
 	for _, l := range listElems(args[0]) {
 		name, ok := l.(sexpr.Symbol)
 		if !ok {
 			return cerrf(args[0], "non-symbol prog local")
 		}
-		fc.bind(string(name))
+		names = append(names, string(name))
+	}
+	sc := fc.beginScope(names)
+	for _, n := range names {
+		fc.bind(n)
 	}
 	for _, form := range args[1:] {
 		if label, ok := form.(sexpr.Symbol); ok {
@@ -638,6 +819,7 @@ func (fc *fnCompiler) progForm(args []sexpr.Value) error {
 	// Falling off the end of a prog yields nil. (return ...) inside the
 	// body compiles to FRETN directly.
 	fc.emit(Instr{Op: OpPushSym, Sym: "nil"})
+	fc.endScope(sc)
 	return nil
 }
 
@@ -679,9 +861,9 @@ func (fc *fnCompiler) andOr(args []sexpr.Value, isAnd bool) error {
 	}
 	// (for or, the short-circuit path left the winning value on the stack)
 	after := fc.here()
-	fc.c.prog.Code[done].Target = after
+	fc.setTarget(done, after)
 	for _, j := range shortJumps {
-		fc.c.prog.Code[j].Target = short
+		fc.setTarget(j, short)
 	}
 	return nil
 }

@@ -15,7 +15,8 @@ import (
 
 // engineResult captures everything an engine run produces that the two
 // engines must agree on: the final value, everything printed, and the
-// full trace stream in its canonical text encoding.
+// full trace stream in its canonical text encoding. runInterpreter is
+// the reference trace generator; benchprogs.Trace runs on the VM.
 type engineResult struct {
 	value    string
 	output   string
@@ -61,28 +62,38 @@ func runBytecodeVM(t *testing.T, name, src string, machine *core.Machine) engine
 	return engineResult{sexpr.String(sv), out.String(), traceBytes(t, &col.T)}
 }
 
-// TestDifferentialBenchprogs runs every benchmark program on the
-// tree-walking interpreter and on the bytecode VM and demands identical
-// final values, identical printed output, and byte-identical trace
-// streams — the property that lets the VM replace the interpreter as
-// the default trace-generation path.
+// TestDifferentialBenchprogs runs every benchmark program, at scale 1
+// and at the experiments' default scale 2, on the tree-walking
+// interpreter and on the bytecode VM and demands identical final
+// values, identical printed output, and byte-identical trace streams —
+// the property that lets the VM be the one trace engine: it also checks
+// benchprogs.Trace, which generates on the VM, against the interpreter.
 func TestDifferentialBenchprogs(t *testing.T) {
 	for _, b := range benchprogs.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			src := b.Gen(1)
-			want := runInterpreter(t, b.Name, src)
-			m := core.NewMachine(core.Config{LPTSize: 1 << 15})
-			got := runBytecodeVM(t, b.Name, src, m)
-			if got.value != want.value {
-				t.Errorf("value mismatch:\n  interp: %s\n  vm:     %s", want.value, got.value)
-			}
-			if got.output != want.output {
-				t.Errorf("output mismatch:\n  interp: %q\n  vm:     %q", want.output, got.output)
-			}
-			if got.traceTxt != want.traceTxt {
-				t.Errorf("trace mismatch (%d vs %d bytes): %s",
-					len(want.traceTxt), len(got.traceTxt), firstDiff(want.traceTxt, got.traceTxt))
+			for _, scale := range []int{1, 2} {
+				src := b.Gen(scale)
+				want := runInterpreter(t, b.Name, src)
+				m := core.NewMachine(core.Config{LPTSize: 1 << 15})
+				got := runBytecodeVM(t, b.Name, src, m)
+				if got.value != want.value {
+					t.Errorf("scale %d value mismatch:\n  interp: %s\n  vm:     %s", scale, want.value, got.value)
+				}
+				if got.output != want.output {
+					t.Errorf("scale %d output mismatch:\n  interp: %q\n  vm:     %q", scale, want.output, got.output)
+				}
+				if got.traceTxt != want.traceTxt {
+					t.Errorf("scale %d trace mismatch (%d vs %d bytes): %s", scale,
+						len(want.traceTxt), len(got.traceTxt), firstDiff(want.traceTxt, got.traceTxt))
+				}
+				tr, err := benchprogs.Trace(b, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if txt := traceBytes(t, tr); txt != want.traceTxt {
+					t.Errorf("scale %d benchprogs.Trace differs from the interpreter: %s", scale, firstDiff(want.traceTxt, txt))
+				}
 			}
 		})
 	}

@@ -17,8 +17,8 @@ import "fmt"
 type Opcode uint8
 
 const (
-	// OpBindN binds the next pending argument (or nil) to a new slot in
-	// the current frame, named Sym.
+	// OpBindN binds the next pending argument (or nil) to frame slot Arg
+	// (1-based), named Sym.
 	OpBindN Opcode = iota
 	// OpPushStk pushes the value of frame variable Arg (1-based offset).
 	OpPushStk
@@ -46,7 +46,8 @@ const (
 	// OpBrNil pops TOS and jumps to Target when it is nil.
 	OpBrNil
 	// OpNEqualP pops two values and jumps to Target when they are unequal
-	// (the fused compare-and-branch of Fig 4.14).
+	// (the fused compare-and-branch of Fig 4.14); Arg is the equality
+	// mode, as for OpEqualP.
 	OpNEqualP
 	// Arithmetic: pop two (TOS is the right operand), push the result.
 	OpAdd
@@ -60,7 +61,8 @@ const (
 	OpCons
 	OpRplaca
 	OpRplacd
-	// Predicates: pop operand(s), push t or nil.
+	// Predicates: pop operand(s), push t or nil. OpEqualP compares in the
+	// equality mode in Arg.
 	OpAtomP
 	OpNullP
 	OpEqualP
@@ -68,7 +70,7 @@ const (
 	OpLessP
 	OpNot
 	// I/O.
-	OpRdList // read a list into frame variable Arg
+	OpRdList // read the next input list into frame variable Arg and push it; with none left, push nil
 	OpWrList // pop and print TOS
 	// OpHalt stops the machine; TOS is the program result.
 	OpHalt
@@ -123,6 +125,25 @@ const (
 	// pops prop, value, symbol and stores value under (symbol, prop).
 	OpGet
 	OpPutprop
+
+	// --- linking ---
+
+	// OpFGuard precedes the arguments of a call whose callee (Sym) may
+	// be undefined when the call runs: it raises the undefined-function
+	// error before any argument is evaluated, as the interpreter does.
+	OpFGuard
+	// OpLink binds the defs of def group Arg of the running batch,
+	// repointing every call site that names them, and pushes the last
+	// def's name: a def's value.
+	OpLink
+	// OpUndef is the stub every call of an undefined function is linked
+	// to; OpArity is the stub for a call with the wrong number of
+	// arguments. Both raise the interpreter's error.
+	OpUndef
+	OpArity
+	// OpUnbind ends the scope of a let's or prog's variables: frame
+	// slots Arg (1-based) and up no longer answer dynamic lookups.
+	OpUnbind
 )
 
 var opNames = map[Opcode]string{
@@ -144,6 +165,8 @@ var opNames = map[Opcode]string{
 	OpAdd1: "ADD1OP", OpSub1: "SUB1OP", OpZeroP: "ZEROPOP",
 	OpGeq: "GEQOP", OpLeq: "LEQOP", OpMax: "MAXOP", OpMin: "MINOP",
 	OpGet: "GETPROP", OpPutprop: "PUTPROP",
+	OpFGuard: "FGUARD", OpLink: "LINK", OpUndef: "UNDEF", OpArity: "ARITY",
+	OpUnbind: "UNBIND",
 }
 
 // cxrArg packs an accessor chain into an OpCxr operand: steps in the
@@ -153,19 +176,28 @@ func cxrArg(steps int, mask uint8) int64 { return int64(steps)<<8 | int64(mask) 
 // cxrSteps unpacks an OpCxr operand.
 func cxrSteps(arg int64) (steps int, mask uint8) { return int(arg >> 8), uint8(arg) }
 
-// Instr is one instruction.
+// Instr is one instruction: 32 bytes.
 type Instr struct {
 	Op     Opcode
+	Target int32  // jump or call target (instruction index)
 	Arg    int64  // frame offset, argument count, or immediate integer
 	Sym    string // name operand (BINDN, FCALL, PUSHSYM symbols, ...)
-	Target int    // jump target (instruction index)
 }
+
+// Equality modes of OpEqualP and OpNEqualP.
+const (
+	eqStructural int64 = iota // equal
+	eqIdentity                // eq
+	eqNumeric                 // =
+)
+
+var eqModeNames = [...]string{eqStructural: "equal", eqIdentity: "eq", eqNumeric: "="}
 
 // String renders the instruction in listing form.
 func (i Instr) String() string {
 	name := opNames[i.Op]
 	switch i.Op {
-	case OpBindN, OpPushName, OpSetName:
+	case OpBindN, OpPushName, OpSetName, OpFGuard:
 		return fmt.Sprintf("%-8s %s", name, i.Sym)
 	case OpFCall:
 		return fmt.Sprintf("%-8s %s/%d", name, i.Sym, i.Arg)
@@ -175,25 +207,38 @@ func (i Instr) String() string {
 		}
 		return fmt.Sprintf("%-8s %d", name, i.Arg)
 	case OpPushStk, OpSetq, OpSetqPop, OpRdList, OpCarStk, OpCdrStk,
-		OpAddImm, OpSubImm, OpList, OpMax, OpMin:
+		OpAddImm, OpSubImm, OpList, OpMax, OpMin, OpLink, OpUnbind:
 		return fmt.Sprintf("%-8s %d", name, i.Arg)
 	case OpCxr:
 		steps, mask := cxrSteps(i.Arg)
 		return fmt.Sprintf("%-8s %d/%#b", name, steps, mask)
-	case OpJump, OpBrNil, OpNEqualP:
+	case OpEqualP:
+		return fmt.Sprintf("%-8s %s", name, eqModeNames[i.Arg])
+	case OpNEqualP:
+		return fmt.Sprintf("%-8s %s @%d", name, eqModeNames[i.Arg], i.Target)
+	case OpJump, OpBrNil:
 		return fmt.Sprintf("%-8s @%d", name, i.Target)
 	default:
 		return name
 	}
 }
 
-// Program is a compiled unit: a code array, the entry point of the
-// top-level expression, and the function directory.
+// Program is linked code: the two stubs at the front (undefined
+// function, wrong argument count), then the function bodies, then the
+// top-level code that starts at Entry; and the directory of the
+// functions currently bound.
 type Program struct {
 	Code  []Instr
 	Entry int
 	Funcs map[string]*FuncInfo
 }
+
+// Program counters of the stubs every Program starts with.
+const (
+	pcUndef = iota
+	pcArity
+	nStubs
+)
 
 // FuncInfo describes one compiled function.
 type FuncInfo struct {

@@ -1,13 +1,14 @@
 package vm
 
 // Peephole optimizer: fuses adjacent instruction pairs and car/cdr runs
-// into the superinstructions of ops.go. It runs after every jump and
-// call target has been resolved, computes the set of branch-target
+// into the superinstructions of ops.go. It runs on one compiled unit (a
+// function body or a batch of top-level forms, entered at index 0) after
+// its jumps have been resolved, computes the set of branch-target
 // program counters, and never fuses across one — a fused pair with a
-// jump into its middle would change meaning. All surviving targets are
-// remapped through an old→new index table, including function entries
-// and the FCALL return points (the instruction after each FCALL is a
-// live return address).
+// jump into its middle would change meaning. Jump targets are remapped
+// through an old→new index table; the instruction after each FCALL is a
+// live return address. FCALL targets lie outside the unit and are left
+// to the linker.
 //
 // Fusions (all trace- and refcount-equivalent to the unfused sequence):
 //
@@ -16,19 +17,14 @@ package vm
 //	PUSHSYM int; ADDOP|SUBOP-> ADDIMM | SUBIMM
 //	SETQ n; POP             -> SETQPOP n
 //	PUSHSTK|PUSHSYM; POP    -> (removed: a pure push/pop pair is a no-op)
-func optimize(p *Program) {
-	code := p.Code
+func optimize(code []Instr) []Instr {
 	isTarget := make([]bool, len(code)+1)
-	isTarget[p.Entry] = true
-	for _, f := range p.Funcs {
-		isTarget[f.Entry] = true
-	}
+	isTarget[0] = true
 	for i, ins := range code {
 		switch ins.Op {
 		case OpJump, OpBrNil, OpNEqualP:
 			isTarget[ins.Target] = true
 		case OpFCall:
-			isTarget[ins.Target] = true
 			isTarget[i+1] = true // FRETN returns here
 		}
 	}
@@ -131,14 +127,9 @@ func optimize(p *Program) {
 
 	for j := range newCode {
 		switch newCode[j].Op {
-		case OpJump, OpBrNil, OpNEqualP, OpFCall:
-			newCode[j].Target = old2new[newCode[j].Target]
+		case OpJump, OpBrNil, OpNEqualP:
+			newCode[j].Target = int32(old2new[newCode[j].Target])
 		}
 	}
-	p.Code = newCode
-	p.Entry = old2new[p.Entry]
-	for _, f := range p.Funcs {
-		f.Entry = old2new[f.Entry]
-		f.End = old2new[f.End]
-	}
+	return newCode
 }

@@ -10,72 +10,116 @@ import (
 // Session is a persistent evaluation context over the bytecode VM,
 // mirroring the smalllisp.Interp surface the server's session layer
 // expects: repeated Run calls share one SMALL machine, one set of
-// global bindings and property lists, and an accumulated function
-// directory. Each Run recompiles the accumulated defs plus the new
-// top-level forms — compilation is microseconds against eval budgets of
-// millions of steps — and executes only the new top-level code; the
-// VM's frame-0 globals carry state across evals.
+// global bindings and property lists, and one linked program.
+//
+// Each def compiles once into the program's code segment; the rest of a
+// Run's forms compile into top-level code that the next Run replaces.
+// Forms take effect in source order, as in the interpreter: a run of
+// consecutive defs is bound by one OpLink where it stands, so a form
+// before a def still calls the old binding. Code that redefinitions left
+// dead is compacted away once it outgrows the live code.
 type Session struct {
-	v      *VM
-	defs   []sexpr.Value  // accumulated def forms, first-seen order
-	defIdx map[string]int // name -> index in defs (redefinition replaces)
+	v *VM
+	l *linker
+	// avail names the functions the running batch binds before the
+	// position being compiled (see needsGuard).
+	avail map[string]bool
 }
 
 // NewSession builds a session; opts configure the underlying VM
 // (machine, output, step limit).
 func NewSession(opts ...Option) *Session {
-	return &Session{v: New(&Program{}, opts...), defIdx: make(map[string]int)}
+	l := newLinker()
+	s := &Session{v: New(l.prog, opts...), l: l, avail: make(map[string]bool)}
+	s.v.ln = l
+	return s
 }
 
-// Run evaluates src: definitions accumulate in the session, top-level
-// expressions execute on the VM, and the last expression's value is
-// returned (or the last definition's name when src only defines).
+// Run evaluates src and returns the value of its last form: a def's
+// value is its name. A parse or compile error leaves the session as it
+// was; a run-time error keeps the effects of the forms before it.
 func (s *Session) Run(src string) (sexpr.Value, error) {
 	forms, err := sexpr.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
-	oldDefs := append([]sexpr.Value(nil), s.defs...)
-	oldIdx := make(map[string]int, len(s.defIdx))
-	for k, v := range s.defIdx {
-		oldIdx[k] = v
-	}
-	var tops []sexpr.Value
-	var lastDef sexpr.Value
-	for _, f := range forms {
-		if isDef(f) {
-			name, ok := sexpr.Car(sexpr.Cdr(f)).(sexpr.Symbol)
-			if !ok {
-				return nil, cerrf(f, "def of non-symbol")
-			}
-			if i, seen := s.defIdx[string(name)]; seen {
-				s.defs[i] = f
-			} else {
-				s.defIdx[string(name)] = len(s.defs)
-				s.defs = append(s.defs, f)
-			}
-			lastDef = name
-		} else {
-			tops = append(tops, f)
-		}
-	}
-	all := make([]sexpr.Value, 0, len(s.defs)+len(tops))
-	all = append(all, s.defs...)
-	all = append(all, tops...)
-	prog, err := CompileForms(all)
+	mark := len(s.l.prog.Code)
+	top, err := s.compile(forms)
 	if err != nil {
-		// A bad batch must not poison the session's directory.
-		s.defs, s.defIdx = oldDefs, oldIdx
+		s.l.truncate(mark)
+		s.l.groups = s.l.groups[:0]
 		return nil, err
 	}
-	s.v.SetProgram(prog)
-	if len(tops) == 0 {
-		if lastDef != nil {
-			return lastDef, nil
+	s.l.prog.Entry = s.l.add(top)
+	s.v.codeChanged(mark)
+	val, err := s.v.Run()
+	s.finish()
+	return val, err
+}
+
+// compile places the batch's function bodies in the code segment and
+// compiles its top-level code, where each run of consecutive defs
+// becomes one OpLink.
+func (s *Session) compile(forms []sexpr.Value) ([]Instr, error) {
+	clear(s.avail)
+	top := newTopCompiler(s.needsGuard)
+	for i := 0; i < len(forms); {
+		if !isDef(forms[i]) {
+			if err := top.form(forms[i]); err != nil {
+				return nil, err
+			}
+			i++
+			continue
 		}
-		return nil, nil
+		j := i
+		for j < len(forms) && isDef(forms[j]) {
+			name, err := defName(forms[j])
+			if err != nil {
+				return nil, err
+			}
+			s.avail[string(name)] = true
+			j++
+		}
+		group := make([]*FuncInfo, 0, j-i)
+		for _, f := range forms[i:j] {
+			name, nargs, code, err := compileDef(f, s.needsGuard)
+			if err != nil {
+				return nil, err
+			}
+			group = append(group, s.l.place(name, nargs, code))
+		}
+		top.emit(Instr{Op: OpLink, Arg: int64(len(s.l.groups)), Sym: group[len(group)-1].Name})
+		s.l.groups = append(s.l.groups, group)
+		i = j
 	}
-	return s.v.Run()
+	return top.finish()
+}
+
+// needsGuard reports whether a call of name, compiled at the current
+// position of the batch, can run while name is undefined. A function,
+// once bound, stays bound; and one the batch defines before this
+// position (in this def group or an earlier one) is bound before any
+// code at this position runs.
+func (s *Session) needsGuard(name string) bool {
+	_, bound := s.l.prog.Funcs[name]
+	return !bound && !s.avail[name]
+}
+
+// finish drops the batch's top-level code, and compacts the function
+// bodies once the dead ones outnumber the live. A compaction costs time
+// in proportion to the code it keeps, which is less than the dead code
+// the definitions since the last one appended.
+func (s *Session) finish() {
+	tail := s.l.prog.Entry
+	s.l.truncate(tail)
+	s.l.groups = s.l.groups[:0]
+	if s.l.dead() > s.l.live {
+		s.l.compact()
+		s.v.codeChanged(0)
+		return
+	}
+	s.l.prog.Entry = len(s.l.prog.Code)
+	s.v.codeChanged(tail)
 }
 
 // Machine exposes the session's SMALL machine (live LPT stats).

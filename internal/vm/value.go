@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -19,8 +20,9 @@ type Kind uint8
 const (
 	// KNil is the nil object (also boolean false).
 	KNil Kind = iota
-	// KInt is an unboxed integer: I holds the value; W caches the
-	// interned atom word once the value has escaped (TagAtom when set).
+	// KInt is an unboxed integer: I holds the value; W caches its heap
+	// word (immediate, or interned outside the 32-bit range) once the
+	// value has come from or escaped into the LP.
 	KInt
 	// KTrue is the symbol t (boolean true).
 	KTrue
@@ -81,6 +83,9 @@ func (v *VM) fromCore(x core.Value) Value {
 	case core.VNil:
 		return nilV
 	case core.VAtom:
+		if x.Atom.Tag == heap.TagInt {
+			return Value{Kind: KInt, I: int64(x.Atom.Val), W: x.Atom}
+		}
 		sv, err := v.m.Heap().Atoms().Value(x.Atom)
 		if err == nil {
 			switch a := sv.(type) {
@@ -100,14 +105,14 @@ func (v *VM) fromCore(x core.Value) Value {
 	}
 }
 
-// toCore converts a VM operand into an LP value, interning an atom word
-// for escaping immediates. References are not adjusted.
+// toCore converts a VM operand into an LP value, giving an escaping
+// immediate its heap word. References are not adjusted.
 func (v *VM) toCore(x Value) core.Value {
 	switch x.Kind {
 	case KNil:
 		return core.NilValue
 	case KInt:
-		if x.W.Tag != heap.TagAtom {
+		if x.W.Tag == heap.TagNil { // not yet given its word
 			x.W = v.intWord(x.I)
 		}
 		return core.Value{Kind: core.VAtom, Atom: x.W}
@@ -122,22 +127,13 @@ func (v *VM) toCore(x Value) core.Value {
 	}
 }
 
-// smallIntCache bounds the direct-mapped intern cache for small
-// non-negative integers — the overwhelming majority of escaping ints
-// (list positions, coordinates, tick counters).
-const smallIntCache = 256
-
-// intWord interns an integer, consulting the small-int cache and the
-// last-interned slot before touching the atom table. Atoms.Intern keys
-// a map on a boxed interface value, so the caches keep hot loops that
-// cons integers (iota-style builders) from allocating per operation.
+// intWord returns an integer's heap word: an immediate word when it
+// fits in 32 bits, which is nearly always, so escaping integers do not
+// grow the atom table. A wider one is interned; the last-interned slot
+// keeps a loop that conses the same wide value from hashing it each
+// time.
 func (v *VM) intWord(i int64) heap.Word {
-	if i >= 0 && i < smallIntCache {
-		if w := v.smallInts[i]; w.Tag == heap.TagAtom {
-			return w
-		}
-		w := v.m.Heap().Atoms().Intern(sexpr.Int(i))
-		v.smallInts[i] = w
+	if w, ok := heap.IntWord(i); ok {
 		return w
 	}
 	if v.lastIntW.Tag == heap.TagAtom && v.lastInt == i {
@@ -181,7 +177,7 @@ func (v *VM) intArg(x Value) (int64, error) {
 	if x.Kind == KInt {
 		return x.I, nil
 	}
-	sv, _ := v.m.ValueOf(v.toCore(x))
+	sv, _ := v.sexprOf(x)
 	return 0, fmt.Errorf("vm: not a number: %s", sexpr.String(sv))
 }
 
@@ -204,10 +200,24 @@ func (v *VM) symKey(x Value) (int32, error) {
 	return 0, fmt.Errorf("vm: property keys must be symbols")
 }
 
+// sexprOf converts an operand to an s-expression. Immediates convert
+// directly, without interning an atom; lists are decoded from the LP.
+func (v *VM) sexprOf(x Value) (sexpr.Value, error) {
+	switch x.Kind {
+	case KNil:
+		return nil, nil
+	case KInt:
+		return sexpr.Int(x.I), nil
+	case KTrue:
+		return sexpr.Symbol("t"), nil
+	}
+	return v.m.ValueOf(v.toCore(x))
+}
+
 // sx renders a VM operand as an s-expression (trace and I/O only; never
 // on the untraced hot path).
 func (v *VM) sx(x Value) sexpr.Value {
-	sv, err := v.m.ValueOf(v.toCore(x))
+	sv, err := v.sexprOf(x)
 	if err != nil {
 		return sexpr.Symbol("<invalid>")
 	}
@@ -227,10 +237,25 @@ func (v *VM) renderText(x Value) string {
 	return string(buf)
 }
 
-// valueEqual compares operands with the structural semantics of the
-// interpreter's equal. Immediate pairs compare without touching the
-// machine; list comparison decodes both sides.
-func (v *VM) valueEqual(a, b Value) (bool, error) {
+// equality compares two operands in an equality mode: equal is
+// structural, eq is identity, = compares numbers.
+func (v *VM) equality(mode int64, a, b Value) (bool, error) {
+	switch mode {
+	case eqNumeric:
+		x, err := v.intArg(a)
+		if err != nil {
+			return false, err
+		}
+		y, err := v.intArg(b)
+		return float64(x) == float64(y), err // as the interpreter compares
+	case eqIdentity:
+		if isListKind(a) && isListKind(b) {
+			if a != b {
+				return false, errDistinctLists
+			}
+			return true, nil
+		}
+	}
 	if !isListKind(a) && !isListKind(b) {
 		if a.Kind != b.Kind {
 			return false, nil
@@ -247,13 +272,11 @@ func (v *VM) valueEqual(a, b Value) (bool, error) {
 	if !isListKind(a) || !isListKind(b) {
 		return false, nil
 	}
-	av, err := v.m.ValueOf(v.toCore(a))
-	if err != nil {
-		return false, err
-	}
-	bv, err := v.m.ValueOf(v.toCore(b))
-	if err != nil {
-		return false, err
-	}
-	return sexpr.Equal(av, bv), nil
+	return v.m.Equal(v.toCore(a), v.toCore(b))
 }
+
+// errDistinctLists is eq of two different lists. The interpreter
+// answers nil unless both are the one cell of a quoted list met twice;
+// the VM builds a quoted list afresh each time its quote runs, so it
+// cannot tell those apart.
+var errDistinctLists = errors.New("vm: eq of two different lists " + outsideLanguageHint)

@@ -41,10 +41,11 @@ type TextSink interface {
 //
 // Operands are unboxed vm.Values: integers, booleans and nil never
 // touch the atom table, and arithmetic and predicates run on
-// immediates. Atom words are interned only when a value escapes into
-// the LP (cons, rplac, wrlist), through the small-int/last-int caches.
+// immediates. An integer that escapes into the LP (cons, rplac) becomes
+// an immediate heap word; only one outside the 32-bit range is interned.
 type VM struct {
 	prog   *Program
+	ln     *linker // a Session's linker, which OpLink binds through
 	m      *core.Machine
 	stack  []Value
 	frames []vframe
@@ -62,11 +63,10 @@ type VM struct {
 	props map[int32]map[int32]Value
 
 	// Intern caches; all are per-machine and cleared by Reset.
-	tW        heap.Word                // interned symbol t
-	symCache  []heap.Word              // per-pc PUSHSYM interns
-	smallInts [smallIntCache]heap.Word // direct-mapped small non-negative ints
-	lastInt   int64                    // last large int interned ...
-	lastIntW  heap.Word                // ... and its word
+	tW       heap.Word   // interned symbol t
+	symCache []heap.Word // per-pc PUSHSYM interns
+	lastInt  int64       // last int interned (outside the 32-bit range) ...
+	lastIntW heap.Word   // ... and its word
 
 	ctxDone <-chan struct{}
 	ctxErr  func() error
@@ -91,6 +91,13 @@ var errHalted = errors.New("vm: halted")
 
 // ErrStepLimit is returned when execution exceeds the step budget.
 var ErrStepLimit = errors.New("vm: step limit exceeded")
+
+// callError is a call the interpreter rejects too: of an undefined
+// function, or with the wrong number of arguments. Unlike a machine
+// fault it reaches the caller without a pc.
+type callError struct{ msg string }
+
+func (e *callError) Error() string { return "vm: " + e.msg }
 
 // New builds a VM over a fresh SMALL machine.
 func New(prog *Program, opts ...Option) *VM {
@@ -165,19 +172,25 @@ func (v *VM) SetOutput(w io.Writer) { v.out = w }
 // SetInput queues values for RDLIST.
 func (v *VM) SetInput(vals []sexpr.Value) { v.input = vals }
 
-// SetProgram swaps the compiled program while keeping machine state,
-// global bindings and property lists — the persistence a session
-// backend needs between evals.
-func (v *VM) SetProgram(prog *Program) { v.setProg(prog) }
-
 // setProg installs a program and sizes the per-pc symbol cache.
 func (v *VM) setProg(prog *Program) {
 	v.prog = prog
-	if cap(v.symCache) >= len(prog.Code) {
-		v.symCache = v.symCache[:len(prog.Code)]
-		clear(v.symCache)
+	v.symCache = v.symCache[:0]
+	v.codeChanged(0)
+}
+
+// codeChanged resizes the per-pc symbol cache to the program's code,
+// which changed from pc from on; the interns cached below from stay
+// valid. Storage left oversized by a large batch is released.
+func (v *VM) codeChanged(from int) {
+	n := len(v.prog.Code)
+	keep := min(from, len(v.symCache), n)
+	v.symCache = v.symCache[:keep]
+	if n <= cap(v.symCache) {
+		v.symCache = trim(v.symCache[:n])
+		clear(v.symCache[keep:])
 	} else {
-		v.symCache = make([]heap.Word, len(prog.Code))
+		v.symCache = append(v.symCache, make([]heap.Word, n-keep)...)
 	}
 }
 
@@ -187,12 +200,9 @@ func (v *VM) setProg(prog *Program) {
 // configuration and survive.
 func (v *VM) Reset(prog *Program, m *core.Machine) {
 	v.prog = prog
-	if cap(v.symCache) >= len(prog.Code) {
-		v.symCache = v.symCache[:len(prog.Code)]
-		clear(v.symCache)
-	} else {
-		v.symCache = make([]heap.Word, len(prog.Code))
-	}
+	v.symCache = v.symCache[:0]
+	v.codeChanged(0)
+	v.ln = nil
 	v.m = m
 	v.stack = v.stack[:0]
 	v.frames = v.frames[:0]
@@ -202,7 +212,6 @@ func (v *VM) Reset(prog *Program, m *core.Machine) {
 	v.depth = 0
 	clear(v.props)
 	v.tW = heap.Word{}
-	v.smallInts = [smallIntCache]heap.Word{}
 	v.lastInt = 0
 	v.lastIntW = heap.Word{}
 	v.ctxDone = nil
@@ -270,8 +279,11 @@ func (v *VM) unwindToGlobal() {
 // VM (frame 0), so repeated Runs behave like successive session evals.
 func (v *VM) Run() (sexpr.Value, error) {
 	if len(v.frames) == 0 {
-		v.pushFrame(-1, 0, 0, "")
+		v.pushFrame(-1, 0, 0, "") // globals
 	}
+	// Top-level code binds its let and prog variables in a frame of its
+	// own, dropped when the run ends; frame 0 holds only globals.
+	v.pushFrame(-1, len(v.stack), 0, "")
 	v.depth = 0
 	pc := v.prog.Entry
 	for {
@@ -299,13 +311,15 @@ func (v *VM) Run() (sexpr.Value, error) {
 				v.unwindToGlobal()
 				return nil, perr
 			}
-			sv, verr := v.m.ValueOf(v.toCore(top))
+			sv, verr := v.sexprOf(top)
 			v.release(top)
 			v.unwindToGlobal()
 			return sv, verr
 		}
 		if err != nil {
-			err = fmt.Errorf("vm: pc %d (%s): %w", pc, v.prog.Code[pc], err)
+			if _, ok := err.(*callError); !ok {
+				err = fmt.Errorf("vm: pc %d (%s): %w", pc, v.prog.Code[pc], err)
+			}
 			v.unwindToGlobal()
 			return nil, err
 		}
@@ -316,19 +330,23 @@ func (v *VM) Run() (sexpr.Value, error) {
 func (v *VM) frame() *vframe { return &v.frames[len(v.frames)-1] }
 
 // access1 performs one traced car/cdr step on the machine. The caller
-// owns x and the returned value.
+// owns x and the returned value. As in the interpreter, the car and cdr
+// of nil or an atom are nil; the machine is not asked.
 func (v *VM) access1(x Value, wantCar bool) (Value, error) {
-	var out core.Value
-	var err error
-	if wantCar {
-		out, err = v.m.Car(v.toCore(x))
-	} else {
-		out, err = v.m.Cdr(v.toCore(x))
+	res := nilV
+	if isListKind(x) {
+		var out core.Value
+		var err error
+		if wantCar {
+			out, err = v.m.Car(v.toCore(x))
+		} else {
+			out, err = v.m.Cdr(v.toCore(x))
+		}
+		if err != nil {
+			return nilV, err
+		}
+		res = v.fromCore(out)
 	}
-	if err != nil {
-		return nilV, err
-	}
-	res := v.fromCore(out)
 	if v.sink != nil {
 		op := "cdr"
 		if wantCar {
@@ -371,8 +389,23 @@ func (v *VM) step(pc int) (int, error) {
 			val = v.stack[f.pbase+f.argIdx]
 			f.argIdx++
 		}
-		f.vars = append(f.vars, val)
-		f.names = append(f.names, ins.Sym)
+		off := int(ins.Arg) - 1
+		for len(f.vars) < off { // slots of a branch that did not run
+			f.vars = append(f.vars, nilV)
+			f.names = append(f.names, "")
+		}
+		if off < len(f.vars) { // a let or prog in a loop binds again
+			v.release(f.vars[off])
+			f.vars[off], f.names[off] = val, ins.Sym
+		} else {
+			f.vars = append(f.vars, val)
+			f.names = append(f.names, ins.Sym)
+		}
+
+	case OpUnbind:
+		for i := int(ins.Arg) - 1; i < len(f.names); i++ {
+			f.names[i] = ""
+		}
 
 	case OpPushStk:
 		off := int(ins.Arg) - 1
@@ -460,10 +493,10 @@ func (v *VM) step(pc int) (int, error) {
 			v.sink.Enter(ins.Sym, n, v.depth)
 		}
 		v.pushFrame(pc+1, len(v.stack)-n, n, ins.Sym)
-		return ins.Target, nil
+		return int(ins.Target), nil
 
 	case OpFRetn:
-		if len(v.frames) == 1 {
+		if f.ret < 0 {
 			return 0, errors.New("return from top level")
 		}
 		result, err := v.pop()
@@ -492,7 +525,7 @@ func (v *VM) step(pc int) (int, error) {
 		return ret, nil
 
 	case OpJump:
-		return ins.Target, nil
+		return int(ins.Target), nil
 
 	case OpBrNil:
 		x, err := v.pop()
@@ -502,7 +535,7 @@ func (v *VM) step(pc int) (int, error) {
 		isNil := !truthy(x)
 		v.release(x)
 		if isNil {
-			return ins.Target, nil
+			return int(ins.Target), nil
 		}
 
 	case OpNEqualP:
@@ -514,14 +547,14 @@ func (v *VM) step(pc int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		eq, err := v.valueEqual(a, b)
+		eq, err := v.equality(ins.Arg, a, b)
 		v.release(a)
 		v.release(b)
 		if err != nil {
 			return 0, err
 		}
 		if !eq {
-			return ins.Target, nil
+			return int(ins.Target), nil
 		}
 
 	case OpAdd, OpSub, OpMul, OpDiv, OpRem:
@@ -788,7 +821,7 @@ func (v *VM) step(pc int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		eq, err := v.valueEqual(a, b)
+		eq, err := v.equality(ins.Arg, a, b)
 		v.release(a)
 		v.release(b)
 		if err != nil {
@@ -817,16 +850,18 @@ func (v *VM) step(pc int) (int, error) {
 			v.release(b)
 			return 0, err
 		}
+		// The interpreter compares numbers as float64s.
+		fx, fy := float64(x), float64(y)
 		var res bool
 		switch ins.Op {
 		case OpGreaterP:
-			res = x > y
+			res = fx > fy
 		case OpLessP:
-			res = x < y
+			res = fx < fy
 		case OpGeq:
-			res = x >= y
+			res = fx >= fy
 		case OpLeq:
-			res = x <= y
+			res = fx <= fy
 		}
 		v.push(boolV(res))
 
@@ -932,37 +967,56 @@ func (v *VM) step(pc int) (int, error) {
 		if off < 0 || off >= len(f.vars) {
 			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
 		}
-		var datum sexpr.Value
-		consumed := false
-		if len(v.input) > 0 {
-			datum = v.input[0]
-			v.input = v.input[1:]
-			consumed = true
+		if len(v.input) == 0 {
+			// As the interpreter's read: nil, and nothing is bound.
+			v.push(nilV)
+			break
 		}
+		datum := v.input[0]
+		v.input = v.input[1:]
 		val, err := v.m.ReadList(datum, v.toCore(f.vars[off]))
 		if err != nil {
 			return 0, err
 		}
 		f.vars[off] = v.fromCore(val)
-		if consumed && v.sink != nil {
+		if v.sink != nil {
 			v.sink.Prim("read", nil, datum, v.depth)
 		}
+		v.retain(f.vars[off])
+		v.push(f.vars[off])
 
 	case OpWrList:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
+		// Prints TOS, which stays as the value: print returns its argument.
+		if len(v.stack) == 0 {
+			return 0, errors.New("vm: stack underflow")
 		}
-		sv, err := v.m.ValueOf(v.toCore(x))
+		sv, err := v.sexprOf(v.stack[len(v.stack)-1])
 		if err != nil {
-			v.release(x)
 			return 0, err
 		}
 		fmt.Fprintln(v.out, sexpr.String(sv))
-		v.release(x)
 
 	case OpHalt:
 		return 0, errHalted
+
+	case OpFGuard:
+		if _, ok := v.prog.Funcs[ins.Sym]; !ok {
+			return 0, &callError{"undefined function " + ins.Sym}
+		}
+
+	case OpLink:
+		group := v.ln.groups[ins.Arg]
+		for _, fn := range group {
+			v.ln.bind(fn)
+		}
+		v.push(Value{Kind: KAtom, W: v.symWord(pc, ins.Sym)})
+
+	case OpUndef:
+		return 0, &callError{"undefined function " + f.fname}
+
+	case OpArity:
+		return 0, &callError{fmt.Sprintf("%s called with %d args, wants %d",
+			f.fname, f.npending, v.prog.Funcs[f.fname].NArgs)}
 
 	default:
 		return 0, fmt.Errorf("unknown opcode %d", ins.Op)

@@ -3,16 +3,18 @@ package vm_test
 import (
 	"testing"
 
+	"repro/internal/benchprogs"
 	"repro/internal/core"
+	"repro/internal/lisp"
 	"repro/internal/vm"
 )
 
 // consIntsSrc conses the integers 0..199 into a list and drops it,
 // repeatedly. Every integer escapes into the LP through cons, so the
-// loop exercises the escape-time intern path: with the small-int cache
-// each value interns once per machine and the steady state allocates
-// nothing; without it every cons boxes an interface key for the
-// atom-table map.
+// loop exercises the escape path: an escaping integer becomes an
+// immediate heap word and the steady state allocates nothing; interning
+// it instead would box an interface key for the atom-table map on every
+// cons.
 const consIntsSrc = `
 (defun build (i l)
   (cond ((equal i 200) l)
@@ -35,21 +37,26 @@ func consIntsVM(tb testing.TB) (*vm.VM, *core.Machine) {
 	return v, m
 }
 
-// TestIntInternSteadyStateAllocs pins the int-intern fast path: after a
-// warm-up run has populated the small-int cache, re-running an
-// int-consing workload on the same machine must not allocate per cons.
-// This is the regression guard for the smallInts/lastInt caches — lose
-// them and this test counts thousands of allocations.
+// TestIntInternSteadyStateAllocs pins the escaping-int fast path:
+// re-running an int-consing workload on the same machine must not
+// allocate per cons, nor grow the atom table. This is the regression
+// guard for immediate integer words — lose them and this test counts
+// thousands of allocations.
 func TestIntInternSteadyStateAllocs(t *testing.T) {
 	v, _ := consIntsVM(t)
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
+	atoms := v.Machine().Heap().Atoms().Len()
 	allocs := testing.AllocsPerRun(5, func() {
+		v.ResetSteps()
 		if _, err := v.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if n := v.Machine().Heap().Atoms().Len(); n != atoms {
+		t.Errorf("atom table grew from %d to %d entries", atoms, n)
+	}
 	// 20 spins x 200 escaping conses per run; allow a little slack for
 	// the runtime, nothing near per-cons scale.
 	if allocs > 16 {
@@ -67,8 +74,42 @@ func BenchmarkEscapingIntCons(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		v.ResetSteps()
 		if _, err := v.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSessionEval times tiny evals on a session loaded with a
+// benchprog, on the interpreter and on the VM: the per-eval cost of a
+// session backend, compile and link included.
+func BenchmarkSessionEval(b *testing.B) {
+	prog, _ := benchprogs.ByName("slang")
+	load := prog.Gen(1) + "(setq scratch (list 0 1 2 3 4 5 6 7)) (setq counter 0) (def helper (lambda (x) (+ x 1)))"
+	evals := []string{"(helper 41)", "(cadr (cddr scratch))", "(setq counter (add1 counter))", "(cons 'k7 (list 1 2))"}
+	b.Run("interp", func(b *testing.B) {
+		in := lisp.New(lisp.WithStepLimit(5_000_000))
+		if _, err := in.Run(load); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := range b.N {
+			if _, err := in.Run(evals[i%len(evals)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("vm", func(b *testing.B) {
+		s := vm.NewSession(vm.WithMachine(core.NewMachine(core.Config{})), vm.WithStepLimit(5_000_000))
+		if _, err := s.Run(load); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := range b.N {
+			if _, err := s.Run(evals[i%len(evals)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

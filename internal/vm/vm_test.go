@@ -62,7 +62,7 @@ func TestFig414Listing(t *testing.T) {
 func TestFig415(t *testing.T) {
 	src := `
 (def print-it (lambda (junk)
-  (write (cdr junk))))
+  (print (cdr junk))))
 
 (def doit (lambda ()
   (prog (lst)
@@ -110,6 +110,10 @@ func TestArithmetic(t *testing.T) {
 
 func TestListOps(t *testing.T) {
 	checkVM(t, "(car '(a b))", "a")
+	// As in the interpreter, car and cdr of nil or an atom are nil.
+	checkVM(t, "(car 'a)", "nil")
+	checkVM(t, "(cdr nil)", "nil")
+	checkVM(t, "(caddr '(a b))", "nil")
 	checkVM(t, "(cdr '(a b))", "(b)")
 	checkVM(t, "(cons 'a '(b c))", "(a b c)")
 	checkVM(t, "(car (cdr '(a b c)))", "b")
@@ -197,7 +201,7 @@ func TestRuntimeErrors(t *testing.T) {
 	for _, src := range []string{
 		"(+ 'a 1)",
 		"(/ 1 0)",
-		"(car 'a)",
+		"(rplaca 'a 1)",
 	} {
 		prog, err := Compile(src)
 		if err != nil {
