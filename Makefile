@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race smoke-serve smoke-cluster smoke-ingest smoke-dml fuzz-corpus smoke-bench-vm smoke-bench-dml verify bench bench-parsweep bench-trace bench-vm bench-ingest bench-dml
+.PHONY: build vet lint test race smoke-serve smoke-cluster smoke-ingest smoke-dml fuzz-corpus verify bench
 
 build:
 	$(GO) build ./...
@@ -67,46 +67,12 @@ fuzz-corpus:
 smoke-dml:
 	sh scripts/smoke_dml.sh
 
-# One-iteration pass through cmd/vmbench so the BENCH_vm.json
-# regeneration path cannot rot; the numbers go to a scratch file.
-smoke-bench-vm:
-	$(GO) run ./cmd/vmbench -benchtime 1x -reps 1 -out /tmp/bench_vm_smoke.json
+verify: build vet lint test race fuzz-corpus smoke-serve smoke-cluster smoke-ingest smoke-dml
 
-# One-iteration pass through cmd/dmlbench (real TCP workers at 1/2/4)
-# so the BENCH_dml.json regeneration path cannot rot; also asserts the
-# combining ratio stays above 1 and no weight increment is ever sent.
-smoke-bench-dml:
-	$(GO) run ./cmd/dmlbench -benchtime 1x -reps 1 -out /tmp/bench_dml_smoke.json
-
-verify: build vet lint test race fuzz-corpus smoke-bench-vm smoke-bench-dml smoke-serve smoke-cluster smoke-ingest smoke-dml
-
+# Every package's Go benchmarks, one iteration each: a smoke pass that
+# keeps them compiling and running. For numbers, run one package with
+# -benchtime, -count and -cpu, e.g.
+#   go test -run '^$' -bench BenchmarkBenchprogEval -count 5 ./internal/vm/
+# The end-to-end benchmark is cmd/smallbench (see its README).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Allocation and speedup baselines for the sweep engine + pooled
-# simulator (recorded in BENCH_parsweep.json).
-bench-parsweep:
-	$(GO) test -run '^$$' -bench 'Fig5_1$$|Table5_4$$|SweepSpeedup$$' -benchtime 3x .
-
-# Size, codec, and cache baselines for the binary trace pipeline
-# (recorded in BENCH_trace.json; diff a fresh run against the committed
-# baseline with scripts/bench_compare.sh).
-bench-trace:
-	$(GO) run ./cmd/tracebench -out BENCH_trace.json
-
-# Interpreter vs bytecode VM baselines: per-eval and trace-generation
-# throughput plus allocs/op (recorded in BENCH_vm.json).
-bench-vm:
-	$(GO) run ./cmd/vmbench -out BENCH_vm.json
-
-# Ingest layer baselines: staging push throughput and sharded replay
-# scaling at 1/2/4/8 shards (recorded in BENCH_ingest.json).
-bench-ingest:
-	$(GO) run ./cmd/ingestbench -out BENCH_ingest.json
-
-# Distributed Multilisp baselines: benchprog evaluation over real SMCR
-# workers at 1/2/4 workers — speedup vs single-node, protocol messages
-# per remote cons, and the combining-queue ratio (recorded in
-# BENCH_dml.json).
-bench-dml:
-	$(GO) run ./cmd/dmlbench -out BENCH_dml.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

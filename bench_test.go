@@ -69,8 +69,7 @@ func BenchmarkTable5_1(b *testing.B) { benchExperiment(b, "table5.1") }
 
 // Fig 5.1 and Table 5.4 are the allocation-regression canaries for the
 // simulator's pooled hot path: ReportAllocs keeps allocs/op visible so a
-// reintroduced per-event allocation shows up in the bench history
-// (baseline in BENCH_parsweep.json).
+// reintroduced per-event allocation shows up in the bench history.
 func BenchmarkFig5_1(b *testing.B) {
 	b.ReportAllocs()
 	benchExperiment(b, "fig5.1")

@@ -30,7 +30,7 @@ func slangTraceAndForms(b *testing.B) (*trace.Trace, []byte, []byte, []byte) {
 	return t, text.Bytes(), bin.Bytes(), refs.Bytes()
 }
 
-// --- Trace codec benches (baselines in BENCH_trace.json) ---
+// --- Trace codec benches ---
 
 func BenchmarkTraceEncodeText(b *testing.B) {
 	t, text, _, _ := slangTraceAndForms(b)

@@ -1,12 +1,14 @@
 // Package errdrop forbids silently discarded errors in the decoding
-// layers.
+// layers and in distributed Multilisp.
 //
 // internal/trace, internal/cluster/wire, and internal/ingest parse
 // untrusted bytes; their errors carry byte offsets and segment indices
 // that make corrupt-input reports actionable. An error dropped there
 // doesn't just hide a failure — it turns a diagnosable truncated
-// upload into a silently wrong replay. In these packages a call that
-// returns an error must not discard it:
+// upload into a silently wrong replay. internal/dml moves reference
+// weight over the network: a dropped send error there leaves weight
+// stuck on a live worker with nothing counting it. In these packages a
+// call that returns an error must not discard it:
 //
 //   - a bare call statement whose results include an error fires;
 //   - assigning the error result to `_` fires — discarding must be
@@ -40,11 +42,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope is the set of packages that decode untrusted or
-// offset-addressed input.
+// offset-addressed input, plus the dml weight protocol.
 var scope = []string{
 	"internal/trace", "trace",
 	"internal/ingest", "ingest",
 	"internal/cluster/wire", "wire",
+	"internal/dml", "dml",
 }
 
 func run(pass *analysis.Pass) error {

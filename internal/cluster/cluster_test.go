@@ -23,8 +23,8 @@ type testWorker struct {
 	svc  *server.Server
 }
 
-func startWorker(t *testing.T) *testWorker {
-	t.Helper()
+func startWorker(tb testing.TB) *testWorker {
+	tb.Helper()
 	svc := server.New(server.Config{
 		Workers:        2,
 		QueueDepth:     32,
@@ -32,27 +32,25 @@ func startWorker(t *testing.T) *testWorker {
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rpc := NewRPCServer(svc.Handler())
 	go rpc.Serve(context.Background(), ln)
 	w := &testWorker{addr: ln.Addr().String(), rpc: rpc, svc: svc}
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		w.rpc.Close()
 		w.svc.Shutdown()
 	})
 	return w
 }
 
-// testCluster spins up n workers plus a gateway with test-speed health
-// probing, fronted by an httptest HTTP server.
-func testCluster(t *testing.T, n int) ([]*testWorker, *Gateway, *httptest.Server) {
-	t.Helper()
-	workers := make([]*testWorker, n)
-	peers := make([]string, n)
-	for i := range workers {
-		workers[i] = startWorker(t)
-		peers[i] = workers[i].addr
+// startGateway builds a gateway over the workers with test-speed health
+// probing; it closes with the test.
+func startGateway(tb testing.TB, workers []*testWorker) *Gateway {
+	tb.Helper()
+	peers := make([]string, len(workers))
+	for i, w := range workers {
+		peers[i] = w.addr
 	}
 	gw, err := NewGateway(Config{
 		Peers:          peers,
@@ -65,13 +63,23 @@ func testCluster(t *testing.T, n int) ([]*testWorker, *Gateway, *httptest.Server
 		RequestTimeout: 10 * time.Second,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	tb.Cleanup(gw.Close)
+	return gw
+}
+
+// testCluster spins up n workers plus a gateway with test-speed health
+// probing, fronted by an httptest HTTP server.
+func testCluster(t *testing.T, n int) ([]*testWorker, *Gateway, *httptest.Server) {
+	t.Helper()
+	workers := make([]*testWorker, n)
+	for i := range workers {
+		workers[i] = startWorker(t)
+	}
+	gw := startGateway(t, workers)
 	hs := httptest.NewServer(gw.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		gw.Close()
-	})
+	t.Cleanup(hs.Close)
 	return workers, gw, hs
 }
 

@@ -8,10 +8,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster/client"
 	"repro/internal/cluster/wire"
 	"repro/internal/dml"
 	"repro/internal/lisp"
@@ -96,77 +94,6 @@ func (l *clusterLink) SendDecs(decs []wire.DecEntry) error {
 	}
 	var rep dml.DecReply
 	return decodeDMLReply(l.w.addr, resp, &rep)
-}
-
-// StaticLink is a dml.Link over one worker address without gateway
-// health probing: cmd/dmlbench and tests dial workers directly with it.
-// Any transport error opens its circuit permanently — good enough for a
-// benchmark run, where a dead worker should fail the run loudly.
-type StaticLink struct {
-	addr    string
-	c       *client.Client
-	timeout time.Duration
-	down    atomic.Bool
-}
-
-// NewStaticLink dials the worker at addr on demand; timeout bounds the
-// background decrement sends (<= 0 takes 10s).
-func NewStaticLink(addr string, timeout time.Duration) *StaticLink {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	return &StaticLink{addr: addr, c: client.New(addr), timeout: timeout}
-}
-
-func (l *StaticLink) Addr() string  { return l.addr }
-func (l *StaticLink) Healthy() bool { return !l.down.Load() }
-func (l *StaticLink) Load() int64   { return 0 }
-
-// Close discards the pooled connections.
-func (l *StaticLink) Close() { l.c.Close() }
-
-func (l *StaticLink) Spawn(ctx context.Context, req dml.SpawnRequest) (dml.SpawnReply, error) {
-	resp, err := l.c.FutureSpawn(ctx, req.Flags, req.Prog, req.Defs, req.Expr, req.Binds)
-	if err != nil {
-		l.down.Store(true)
-		return dml.SpawnReply{}, fmt.Errorf("cluster: %s: %w: %v", l.addr, dml.ErrWorkerDown, err)
-	}
-	if resp.Status == http.StatusNotFound {
-		return dml.SpawnReply{}, fmt.Errorf("cluster: %s: %w", l.addr, dml.ErrUnknownProg)
-	}
-	var rep dml.SpawnReply
-	if err := decodeDMLReply(l.addr, resp, &rep); err != nil {
-		return dml.SpawnReply{}, err
-	}
-	return rep, nil
-}
-
-func (l *StaticLink) Touch(ctx context.Context, id int64) (dml.TouchReply, error) {
-	resp, err := l.c.FutureTouch(ctx, id)
-	if err != nil {
-		if ctx.Err() != nil {
-			return dml.TouchReply{}, ctx.Err()
-		}
-		l.down.Store(true)
-		return dml.TouchReply{}, fmt.Errorf("cluster: %s: %w: %v", l.addr, dml.ErrWorkerDown, err)
-	}
-	var rep dml.TouchReply
-	if err := decodeDMLReply(l.addr, resp, &rep); err != nil {
-		return dml.TouchReply{}, err
-	}
-	return rep, nil
-}
-
-func (l *StaticLink) SendDecs(decs []wire.DecEntry) error {
-	ctx, cancel := context.WithTimeout(context.Background(), l.timeout)
-	defer cancel()
-	resp, err := l.c.WeightDec(ctx, decs)
-	if err != nil {
-		l.down.Store(true)
-		return fmt.Errorf("cluster: %s: %w: %v", l.addr, dml.ErrWorkerDown, err)
-	}
-	var rep dml.DecReply
-	return decodeDMLReply(l.addr, resp, &rep)
 }
 
 // dmlSession is one gateway-resident Multilisp session: the evaluator

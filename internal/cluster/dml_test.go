@@ -68,6 +68,72 @@ func TestDMLVerbsOverWire(t *testing.T) {
 	}
 }
 
+// TestDMLCombiningOverRPC checks the weighting scheme's message
+// economics over real RPC workers through the gateway's own links:
+// copying a reference sends nothing (no weight-increment message ever
+// exists), and releasing many copies of one reference before an
+// explicit Flush combines their decrements into far fewer frames than
+// releases. The flusher may send a partial frame in between, but it
+// fires at most once per 5 ms tick, so the ratio stays far above 1.
+// The frames free the object on its worker.
+func TestDMLCombiningOverRPC(t *testing.T) {
+	_, gw, _ := testCluster(t, 2)
+	sp := gw.dml.sp
+	prog := mustAnalyze(t, "(defun dbl (n) (+ n n))")
+	ctx := context.Background()
+
+	r, err := sp.Spawn(ctx, prog.Token, prog.Defs, "(dbl x)", "((x . 21))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := sp.Touch(ctx, r); err != nil || rep.Value != "42" {
+		t.Fatalf("touch: %v %+v", err, rep)
+	}
+	refs := []dml.Ref{r}
+	for len(refs) < 256 {
+		next := make([]dml.Ref, 0, 2*len(refs))
+		for _, ref := range refs {
+			kept, copied, err := sp.Copy(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, kept, copied)
+		}
+		refs = next
+	}
+	for _, ref := range refs {
+		sp.Release(ref)
+	}
+	sp.Flush()
+	// A frame the flusher took before Flush may still be in flight.
+	waitFor(t, "every decrement to be sent or written off", func() bool {
+		c := sp.Stats().Combining
+		return c.EntriesSent+c.Combined+c.Dropped == c.Enqueued
+	})
+
+	st := sp.Stats()
+	if st.WeightIncMessages != 0 {
+		t.Errorf("weight-increment messages sent: %d", st.WeightIncMessages)
+	}
+	if st.LocalCopies != int64(len(refs)-1) {
+		t.Errorf("local copies = %d, want %d", st.LocalCopies, len(refs)-1)
+	}
+	c := st.Combining
+	if c.Enqueued != int64(len(refs)) || c.Frames == 0 {
+		t.Fatalf("combining counters: %+v, want %d decrements enqueued and a frame sent", c, len(refs))
+	}
+	if ratio := float64(c.Enqueued) / float64(c.Frames); ratio <= 1 {
+		t.Errorf("combining ratio %.2f (%d decrements in %d frames), want > 1", ratio, c.Enqueued, c.Frames)
+	}
+	if st.OutstandingWeight != 0 || c.Dropped != 0 {
+		t.Errorf("after flush: outstanding weight %d, dropped %d", st.OutstandingWeight, c.Dropped)
+	}
+	link := &clusterLink{g: gw, w: gw.byAddr[r.Addr]}
+	if _, err := link.Touch(ctx, r.ID); !errors.Is(err, dml.ErrUnknownObject) {
+		t.Errorf("touch after the last decrement: got %v, want ErrUnknownObject", err)
+	}
+}
+
 // TestDMLSessionAcrossCluster is the distributed acceptance check at
 // the cluster level: a gateway dml session evaluates a benchprog
 // identically to a single-node interpreter, spreading spawns over real

@@ -173,7 +173,9 @@ func (e *Evaluator) resolve(ref Ref) (sexpr.Value, error) {
 	e.stats.RemoteSteps += rep.Steps
 	e.mu.Unlock()
 	if rep.Output != "" {
-		io.WriteString(e.out, rep.Output)
+		if _, err := io.WriteString(e.out, rep.Output); err != nil {
+			return nil, fmt.Errorf("dml: writing remote output: %w", err)
+		}
 	}
 	if rep.Error != "" {
 		return nil, fmt.Errorf("dml: remote evaluation: %s", rep.Error)

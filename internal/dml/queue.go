@@ -9,16 +9,19 @@ import (
 )
 
 // CombinerStats counts decrement traffic. Enqueued counts individual
-// release decrements; Frames counts weight-dec messages actually sent.
-// Combined = Enqueued - entries sent: decrements absorbed by merging
-// into an entry already queued for the same object (Fig 6.6). The
-// combining ratio reported by BENCH_dml.json is Enqueued/Frames.
+// release decrements; Frames counts weight-dec messages whose send
+// succeeded, and EntriesSent the entries they carried. Combined counts
+// decrements absorbed by merging into an entry already queued for the
+// same object (Fig 6.6), so once every queued decrement has been sent
+// or written off, Enqueued = EntriesSent + Combined + Dropped. The
+// combining ratio is Enqueued/Frames; with no frame sent there is no
+// ratio.
 type CombinerStats struct {
 	Enqueued    int64
 	Frames      int64
 	EntriesSent int64
 	Combined    int64
-	Dropped     int64 // decrements discarded because their link died
+	Dropped     int64 // entries written off: their link died or their frame failed to send
 }
 
 // linkQueue is the outgoing decrement queue toward one worker.
@@ -90,12 +93,28 @@ func (c *Combiner) Enqueue(addr string, objID, weight int64) {
 	}
 	c.mu.Unlock()
 	if batch != nil {
-		c.send(addr, batch)
+		c.deliver(addr, batch)
 	}
 }
 
+// deliver sends one frame outside the lock and accounts it: a frame
+// counts as sent only when send succeeds. A failed frame's entries are
+// written off in Dropped, like DropLink's; the spawner has already
+// taken their weight out of its outstanding ledger.
+func (c *Combiner) deliver(addr string, batch []wire.DecEntry) {
+	err := c.send(addr, batch)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.dropped += int64(len(batch))
+		return
+	}
+	c.frames++
+	c.entriesSent += int64(len(batch))
+}
+
 // takeLocked drains q into a frame-sized batch, sorted by object id so
-// frame contents are deterministic, and accounts the send.
+// frame contents are deterministic.
 func (c *Combiner) takeLocked(q *linkQueue) []wire.DecEntry {
 	if len(q.pending) == 0 {
 		return nil
@@ -106,8 +125,6 @@ func (c *Combiner) takeLocked(q *linkQueue) []wire.DecEntry {
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].ObjID < batch[j].ObjID })
 	q.pending = make(map[int64]int64)
-	c.frames++
-	c.entriesSent += int64(len(batch))
 	return batch
 }
 
@@ -126,7 +143,7 @@ func (c *Combiner) Flush() {
 	}
 	c.mu.Unlock()
 	for _, o := range outs {
-		c.send(o.addr, o.batch)
+		c.deliver(o.addr, o.batch)
 	}
 }
 
@@ -195,7 +212,7 @@ func (c *Combiner) flushLoop() {
 			}
 			c.mu.Unlock()
 			for _, o := range outs {
-				c.send(o.addr, o.batch)
+				c.deliver(o.addr, o.batch)
 			}
 		}
 	}

@@ -167,7 +167,9 @@ func (w *Worker) Spawn(req SpawnRequest) (SpawnReply, error) {
 		return SpawnReply{ObjID: j.e.id, Weight: InitialWeight}, nil
 	default:
 		// Roll the registration back so the id space stays dense in use.
-		w.table.ApplyDec(j.e.id, InitialWeight)
+		// Either outcome frees the entry: an error only means a stray
+		// decrement for the fresh id got there first.
+		w.table.ApplyDec(j.e.id, InitialWeight) // smallvet:ignore errdrop -- the entry is gone either way
 		w.spawnRejected.Add(1)
 		return SpawnReply{}, ErrSpawnBacklog
 	}

@@ -20,8 +20,9 @@ const dmlStepLimit = 200_000_000
 // positions the strict-purity transform shipped as futures, and that
 // the distributed value and output were identical to the single-node
 // interpreter with zero weight-increment messages. Wall-clock speedups
-// and combining ratios are timing-dependent and live in cmd/dmlbench's
-// BENCH_dml.json, not here — this report must be byte-stable.
+// and combining ratios are timing-dependent and come from
+// internal/cluster's BenchmarkDMLEval, not here — this report must be
+// byte-stable.
 func DMLStudy(r *Runner) (*Report, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "distributed Multilisp over in-process workers; pcall transform on\n")

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/benchprogs"
 )
 
 func testRunner(t *testing.T) *Runner {
@@ -114,6 +116,39 @@ func TestDiskCache(t *testing.T) {
 	if !reflect.DeepEqual(got3.Refs, want.Refs) {
 		t.Error("regenerated-after-corruption stream differs")
 	}
+}
+
+// BenchmarkStreamCache materialises all five reference streams at the
+// default scale through a fresh Runner, with an empty disk cache (cold:
+// generate, preprocess, write) and with a populated one (warm: read
+// the .refs files back).
+func BenchmarkStreamCache(b *testing.B) {
+	const scale = 2
+	load := func(b *testing.B, dir string) {
+		r := NewRunner(Config{Scale: scale, Seeds: 5, CacheDir: dir})
+		for _, bp := range benchprogs.All() {
+			if _, err := r.Stream(bp.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		root := b.TempDir()
+		for i := range b.N {
+			load(b, filepath.Join(root, strconv.Itoa(i)))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		dir := b.TempDir()
+		load(b, dir)
+		if refs, _ := filepath.Glob(filepath.Join(dir, "*.refs")); len(refs) != len(benchprogs.All()) {
+			b.Fatalf("cache holds %d stream files, want %d", len(refs), len(benchprogs.All()))
+		}
+		b.ResetTimer()
+		for range b.N {
+			load(b, dir)
+		}
+	})
 }
 
 // TestFig51Shape asserts the knee property in the rendered data: every

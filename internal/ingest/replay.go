@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,11 +20,10 @@ const MaxShardPayload = 16 << 20
 // a zero-copy view into the staged segment (absolute identifiers, the
 // parent's id-text table) — an in-process runner replays it directly,
 // skipping the encode/decode round-trip entirely. ShardPayload
-// materializes the wire form on demand: for indexed segments it is a
-// byte-range sub-slice of the original encoding with a patched header
-// (no decode, no re-encode), else a SliceStream re-encode. Runners
-// that ship shards over the network call ShardPayload; in-process
-// runners prefer Stream.
+// materializes the wire form on demand: a byte-range sub-slice of the
+// segment's indexed encoding with a patched header (no decode, no
+// re-encode). Runners that ship shards over the network call
+// ShardPayload; in-process runners prefer Stream.
 type ShardRequest struct {
 	Index   int             // shard position in plan order
 	Count   int             // total shards in the job
@@ -73,29 +71,23 @@ func (f RunnerFunc) RunShard(ctx context.Context, req *ShardRequest) (*sim.Shard
 	return f(ctx, req)
 }
 
-// shardEncoder builds the lazy payload closure for one shard of seg:
-// indexed segments slice the original encoding by byte range (header
-// patched from index metadata); unindexed ones fall back to the
-// SliceStream re-encode.
+// shardEncoder builds the lazy payload closure for one shard of seg: a
+// byte-range slice of the segment's indexed encoding, header patched
+// from index metadata. The encoder leaves the index out only past 2^28
+// ids or 2^31 refs, far beyond what a MaxSegmentBytes upload decodes
+// to, so a missing index is an error.
 func shardEncoder(seg Segment, sh Shard) func() ([]byte, error) {
 	return func() ([]byte, error) {
 		enc, ix, err := seg.Encoded()
-		if err == nil && ix != nil {
-			b0 := sh.Lo / trace.BlockEvents
-			b1 := (sh.Hi + trace.BlockEvents - 1) / trace.BlockEvents
-			return trace.AppendSlicePayload(nil, enc, ix, b0, b1)
-		}
-		// No usable index (hand-built stream too large to index, or the
-		// encode itself failed): re-encode the range the slow way.
-		sub, err := trace.SliceStream(seg.Stream, sh.Lo, sh.Hi)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteStream(&buf, sub); err != nil {
-			return nil, err
+		if ix == nil {
+			return nil, fmt.Errorf("ingest: segment %q has no shard index", seg.Stream.Name)
 		}
-		return buf.Bytes(), nil
+		b0 := sh.Lo / trace.BlockEvents
+		b1 := (sh.Hi + trace.BlockEvents - 1) / trace.BlockEvents
+		return trace.AppendSlicePayload(nil, enc, ix, b0, b1)
 	}
 }
 

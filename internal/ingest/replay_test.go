@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/benchprogs"
@@ -15,8 +16,7 @@ import (
 // testRunner replays shards from their wire payload, decoding params as
 // a sim.Params JSON document — the same work a worker node does, minus
 // the wire. Materializing the payload exercises the indexed byte-range
-// slicer for indexed segments (and the SliceStream re-encode fallback
-// otherwise).
+// slicer.
 func testRunner() RunnerFunc {
 	return func(ctx context.Context, req *ShardRequest) (*sim.ShardStats, error) {
 		var p sim.Params
@@ -81,14 +81,14 @@ func runnerFlavors() []struct {
 }
 
 // foldPlanLocally is the independent single-node reference: it replays
-// the plan sequentially, slicing directly (no SMRS round trip, no
+// the plan sequentially over in-memory views (no SMRS round trip, no
 // parsweep), and folds in plan order. Replay's parallel, wire-encoded
 // result must match it byte for byte.
 func foldPlanLocally(t *testing.T, segs []*trace.Stream, plan []Shard, p sim.Params) *sim.ShardStats {
 	t.Helper()
 	var total sim.ShardStats
 	for _, sh := range plan {
-		sub, err := trace.SliceStream(segs[sh.Segment], sh.Lo, sh.Hi)
+		sub, err := trace.SubStream(segs[sh.Segment], sh.Lo, sh.Hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,5 +261,31 @@ func TestReplayPreIndexUploads(t *testing.T) {
 				t.Errorf("k=%d/%s: pre-index replay differs:\n got %s\nwant %s", k, fl.name, gj, wj)
 			}
 		}
+	}
+}
+
+// TestShardPayloadNeedsIndex: a wire payload is always a byte-range
+// slice of an indexed encoding, so a segment whose encoding carries no
+// index fails its payload shards with an error instead of re-encoding
+// them; the in-process view path does not need the index.
+func TestShardPayloadNeedsIndex(t *testing.T) {
+	pj := mustJSON(t, sim.Params{TableSize: 256})
+	b, _ := benchprogs.ByName("slang")
+	tr, err := benchprogs.Trace(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := trace.Preprocess(tr)
+	var raw bytes.Buffer
+	if err := trace.WriteStreamNoIndex(&raw, st); err != nil {
+		t.Fatal(err)
+	}
+	segs := []Segment{{Stream: st, enc: &segmentEnc{data: raw.Bytes()}}}
+	plan := PlanSegments(segs, 2)
+	if _, err := Replay(context.Background(), testRunner(), segs, plan, pj); err == nil || !strings.Contains(err.Error(), "no shard index") {
+		t.Errorf("payload replay of an unindexed segment: got %v, want a missing-index error", err)
+	}
+	if _, err := Replay(context.Background(), viewRunner(), segs, plan, pj); err != nil {
+		t.Errorf("view replay: %v", err)
 	}
 }

@@ -58,7 +58,8 @@ func encodeSegment(st *trace.Stream) ([]byte, *trace.Index, error) {
 // SMTX index. For SMRS uploads that already carried a verified index
 // these are the original upload bytes (zero re-encode); otherwise the
 // stream is encoded canonically once and cached. The index is nil only
-// when the stream is too large for the encoder to index.
+// when the stream is too large for the encoder to index, which no
+// staged upload is; shard payloads refuse such a segment.
 func (seg Segment) Encoded() ([]byte, *trace.Index, error) {
 	if seg.enc == nil {
 		// Hand-built segment with no shared cache: encode per call.

@@ -24,9 +24,10 @@ import (
 )
 
 // StreamRunResult is the outcome of one streaming ingest run, with the
-// latency split the smoke test and ingestbench assert on: FirstShardNs
-// strictly precedes StagedNs whenever the stream spans more than one
-// shard, because dispatch does not wait for staging to finish.
+// latency split the smoke test asserts on and smallbench reports:
+// FirstShardNs strictly precedes StagedNs whenever the stream spans
+// more than one shard, because dispatch does not wait for staging to
+// finish.
 type StreamRunResult struct {
 	Stats        *sim.ShardStats
 	Refs         int   // refs replayed

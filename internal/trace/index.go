@@ -399,8 +399,8 @@ func ParseIndex(data []byte) (*Index, error) {
 // truncated at W's boundary, a patched event count, the raw block
 // bytes, and a fresh sub-footer. No event is decoded or re-encoded.
 // Refs keep their absolute parent ids — the simulator never inspects
-// identifier values, so replaying a slice is equivalent to replaying a
-// densely renumbered copy (see SliceStream).
+// identifier values, so replaying a slice is replaying the range (see
+// SubStream).
 func AppendSlicePayload(dst, enc []byte, ix *Index, b0, b1 int) ([]byte, error) {
 	if b0 < 0 || b0 >= b1 || b1 > ix.Blocks() {
 		return dst, fmt.Errorf("trace: index: slice blocks [%d,%d) out of range 0..%d", b0, b1, ix.Blocks())

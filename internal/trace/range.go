@@ -3,11 +3,8 @@
 // The SMTB/SMRS codecs lay events out in fixed-size blocks precisely so
 // that contiguous block ranges can be carved out and replayed
 // independently (the ingest layer's shard planner cuts only at block
-// boundaries). SliceStream materializes such a range as a
-// self-contained Stream: identifiers are compacted to first-use order
-// so the slice carries only the texts it references and round-trips
-// through WriteStream/ReadStream at a size proportional to the range,
-// not the whole parent stream.
+// boundaries). In process a range is a SubStream view; on the wire it
+// is an AppendSlicePayload byte-range slice of the indexed encoding.
 package trace
 
 import "fmt"
@@ -20,67 +17,12 @@ const BlockEvents = blockEvents
 
 // SubStream returns a zero-copy view over refs [lo, hi) of st: the
 // refs slice is shared (ids stay absolute) and the id-text table is the
-// parent's. Replaying a SubStream is equivalent to replaying the same
-// range through SliceStream — the simulator reads only kind, op,
-// nargs, chain, and depth, never identifier values — without the
-// O(range) remap copy. Use SliceStream when the slice must travel
-// (self-contained, densely numbered); use SubStream when it stays
-// in-process.
+// parent's. The simulator reads only kind, op, nargs, chain, and depth,
+// never identifier values, so replaying the view is replaying the
+// range.
 func SubStream(st *Stream, lo, hi int) (*Stream, error) {
 	if lo < 0 || hi < lo || hi > len(st.Refs) {
 		return nil, fmt.Errorf("trace: slice bounds [%d,%d) out of range 0..%d", lo, hi, len(st.Refs))
 	}
 	return &Stream{Name: st.Name, MaxID: st.MaxID, IDText: st.IDText, Refs: st.Refs[lo:hi:hi]}, nil
-}
-
-// SliceStream returns a new Stream over refs [lo, hi) of st.
-// Identifiers are renumbered densely in order of first use within the
-// range (identifier 0, "not a list", is preserved), and IDText follows
-// the renumbering, so Text agrees with the parent stream for every
-// remapped identifier. Since distinct identifiers keep distinct texts,
-// locality measurements over the slice agree with measuring the same
-// ref range in the parent. The replay simulator never inspects
-// identifier values, only their chaining structure, so slicing does not
-// perturb simulation results.
-//
-// The Chain flag of the first ref in the range may reference a
-// predecessor outside the range; consumers treat a chain with no
-// predecessor as a plain selection (sim falls through when it has no
-// previous result), so the flag is preserved as-is.
-func SliceStream(st *Stream, lo, hi int) (*Stream, error) {
-	if lo < 0 || hi < lo || hi > len(st.Refs) {
-		return nil, fmt.Errorf("trace: slice bounds [%d,%d) out of range 0..%d", lo, hi, len(st.Refs))
-	}
-	out := &Stream{Name: st.Name, IDText: make([]string, 1, min(hi-lo+1, preallocCap))}
-	// Hand-built streams carry no MaxID promise; clamp like MeasureNPStream.
-	remap := make([]int, min(st.MaxID, maxTableCount)+1)
-	mapID := func(id int) int {
-		if id <= 0 || id >= len(remap) {
-			return 0
-		}
-		if remap[id] == 0 {
-			out.MaxID++
-			remap[id] = out.MaxID
-			out.IDText = append(out.IDText, st.Text(id))
-		}
-		return remap[id]
-	}
-	out.Refs = make([]Ref, 0, min(hi-lo, preallocCap))
-	var arena []int // chunked backing storage for remapped Args
-	for i := lo; i < hi; i++ {
-		r := st.Refs[i]
-		if n := len(r.Args); n > 0 {
-			if len(arena)+n > cap(arena) {
-				arena = make([]int, 0, max(4*blockEvents, n))
-			}
-			start := len(arena)
-			for _, id := range r.Args {
-				arena = append(arena, mapID(id))
-			}
-			r.Args = arena[start:len(arena):len(arena)]
-		}
-		r.Result = mapID(r.Result)
-		out.Refs = append(out.Refs, r)
-	}
-	return out, nil
 }

@@ -1,12 +1,9 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// rangeTestStream builds a stream with enough identifier reuse to
-// exercise the remapping: list values recur out of order and repeatedly.
+// rangeTestStream builds a stream whose list values recur out of order
+// and repeatedly.
 func rangeTestStream(t *testing.T) *Stream {
 	t.Helper()
 	tr := &Trace{Name: "fixture", Events: []Event{
@@ -23,104 +20,28 @@ func rangeTestStream(t *testing.T) *Stream {
 	return Preprocess(tr)
 }
 
-func TestSliceStreamBounds(t *testing.T) {
+func TestSubStreamBounds(t *testing.T) {
 	st := rangeTestStream(t)
 	n := len(st.Refs)
 	for _, bad := range [][2]int{{-1, 2}, {0, n + 1}, {3, 2}, {n + 1, n + 2}} {
-		if _, err := SliceStream(st, bad[0], bad[1]); err == nil {
-			t.Errorf("SliceStream(%d,%d) of %d refs: want error, got nil", bad[0], bad[1], n)
+		if _, err := SubStream(st, bad[0], bad[1]); err == nil {
+			t.Errorf("SubStream(%d,%d) of %d refs: want error, got nil", bad[0], bad[1], n)
 		}
 	}
-	if _, err := SliceStream(st, 0, n); err != nil {
-		t.Errorf("full-range slice failed: %v", err)
+	if sub, err := SubStream(st, 0, n); err != nil || len(sub.Refs) != n {
+		t.Errorf("full-range view: %v refs, err %v", sub, err)
 	}
-	if sub, err := SliceStream(st, 2, 2); err != nil || len(sub.Refs) != 0 {
-		t.Errorf("empty slice: got %v refs, err %v", sub, err)
+	if sub, err := SubStream(st, 2, 2); err != nil || len(sub.Refs) != 0 {
+		t.Errorf("empty view: got %v refs, err %v", sub, err)
 	}
-}
-
-// TestSliceStreamPreservesStructure checks the contract the replay
-// simulator relies on: every field it inspects (Kind, Op, NArgs, Chain,
-// Depth) is copied verbatim, and identifier *texts* agree with the
-// parent through the renumbering, so distinct parent IDs stay distinct.
-func TestSliceStreamPreservesStructure(t *testing.T) {
-	st := rangeTestStream(t)
-	for _, r := range [][2]int{{0, len(st.Refs)}, {2, 5}, {1, len(st.Refs) - 1}} {
-		lo, hi := r[0], r[1]
-		sub, err := SliceStream(st, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sub.Refs) != hi-lo {
-			t.Fatalf("slice [%d,%d): %d refs, want %d", lo, hi, len(sub.Refs), hi-lo)
-		}
-		for i := range sub.Refs {
-			got, want := sub.Refs[i], st.Refs[lo+i]
-			if got.Kind != want.Kind || got.Op != want.Op || got.NArgs != want.NArgs ||
-				got.Chain != want.Chain || got.Depth != want.Depth {
-				t.Fatalf("slice [%d,%d) ref %d: structure changed: %+v vs %+v", lo, hi, i, got, want)
-			}
-			if sub.Text(got.Result) != st.Text(want.Result) {
-				t.Fatalf("slice [%d,%d) ref %d: result text %q, want %q",
-					lo, hi, i, sub.Text(got.Result), st.Text(want.Result))
-			}
-			if len(got.Args) != len(want.Args) {
-				t.Fatalf("slice [%d,%d) ref %d: %d args, want %d", lo, hi, i, len(got.Args), len(want.Args))
-			}
-			for j := range got.Args {
-				if sub.Text(got.Args[j]) != st.Text(want.Args[j]) {
-					t.Fatalf("slice [%d,%d) ref %d arg %d: text %q, want %q",
-						lo, hi, i, j, sub.Text(got.Args[j]), st.Text(want.Args[j]))
-				}
-			}
-		}
-		// Renumbering must keep distinct identifiers distinct (injective),
-		// or locality over the slice would be distorted.
-		seen := make(map[int]string)
-		check := func(sliceID int, parentText string) {
-			if sliceID == 0 {
-				return
-			}
-			if prev, ok := seen[sliceID]; ok && prev != parentText {
-				t.Fatalf("slice [%d,%d): id %d maps to both %q and %q", lo, hi, sliceID, prev, parentText)
-			}
-			seen[sliceID] = parentText
-		}
-		for i := range sub.Refs {
-			check(sub.Refs[i].Result, st.Text(st.Refs[lo+i].Result))
-			for j, a := range sub.Refs[i].Args {
-				check(a, st.Text(st.Refs[lo+i].Args[j]))
-			}
-		}
-		if sub.MaxID > st.MaxID {
-			t.Errorf("slice [%d,%d): MaxID grew from %d to %d", lo, hi, st.MaxID, sub.MaxID)
-		}
-	}
-}
-
-// TestSliceStreamRoundTrip pins that a slice is a self-contained SMRS
-// document: it encodes and decodes without reference to the parent.
-func TestSliceStreamRoundTrip(t *testing.T) {
-	st := rangeTestStream(t)
-	sub, err := SliceStream(st, 1, len(st.Refs)-1)
+	// A view keeps the parent's absolute ids and texts.
+	sub, err := SubStream(st, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, sub); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Refs) != len(sub.Refs) || back.MaxID != sub.MaxID {
-		t.Fatalf("round trip changed shape: %d refs maxid %d, want %d refs maxid %d",
-			len(back.Refs), back.MaxID, len(sub.Refs), sub.MaxID)
-	}
-	for i := range back.Refs {
-		if back.Text(back.Refs[i].Result) != sub.Text(sub.Refs[i].Result) {
-			t.Fatalf("ref %d result text changed across round trip", i)
+	for i, r := range sub.Refs {
+		if want := st.Refs[2+i]; r.Result != want.Result || sub.Text(r.Result) != st.Text(want.Result) {
+			t.Errorf("ref %d: result %d %q, want %d %q", i, r.Result, sub.Text(r.Result), want.Result, st.Text(want.Result))
 		}
 	}
 }

@@ -104,7 +104,8 @@ func TestDifferentialBenchprogs(t *testing.T) {
 // the machine's LPT counter deltas all match a fresh run: the
 // interpreter side of the differential has no LPT, so determinism of
 // the machine counters across pooled reuse is the counter half of the
-// equivalence (and what the server backend and vmbench rely on).
+// equivalence (and what the server backend and BenchmarkBenchprogEval
+// rely on).
 func TestDifferentialPooledReset(t *testing.T) {
 	pooledM := core.NewMachine(core.Config{LPTSize: 1 << 15})
 	pooledVM := vm.New(&vm.Program{}, vm.WithMachine(pooledM))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/benchprogs"
 	"repro/internal/core"
 	"repro/internal/lisp"
+	"repro/internal/sexpr"
 	"repro/internal/vm"
 )
 
@@ -112,4 +113,51 @@ func BenchmarkSessionEval(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBenchprogEval evaluates each whole benchprog at scale 1 from
+// a clean context, on the interpreter and on the VM: a fresh
+// interpreter over the parsed forms, and a VM and machine recycled with
+// Reset over the compiled program. Parsing and compiling are outside
+// the loop on both sides; the table is sized as trace generation sizes
+// it, so no run pays for pseudo-overflow compression.
+func BenchmarkBenchprogEval(b *testing.B) {
+	const steps = 200_000_000
+	for _, bp := range benchprogs.All() {
+		forms, err := sexpr.ParseAll(bp.Gen(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := vm.CompileForms(forms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bp.Name, func(b *testing.B) {
+			b.Run("interp", func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					in := lisp.New(lisp.WithStepLimit(steps))
+					for _, f := range forms {
+						if _, err := in.Eval(f); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+			b.Run("vm", func(b *testing.B) {
+				cfg := core.Config{LPTSize: 1 << 16}
+				m := core.NewMachine(cfg)
+				v := vm.New(prog, vm.WithMachine(m), vm.WithStepLimit(steps))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					m.Reset(cfg)
+					v.Reset(prog, m)
+					if _, err := v.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }
