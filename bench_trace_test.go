@@ -92,6 +92,25 @@ func BenchmarkTraceDecodeStream(b *testing.B) {
 	}
 }
 
+// BenchmarkTracePreprocess turns a materialised trace into its reference
+// stream (§5.2.1): the step a built-in /v1/sim trace pays after
+// generation, and a text or binary upload after decoding.
+func BenchmarkTracePreprocess(b *testing.B) {
+	for _, name := range []string{"slang", "plagen"} {
+		b.Run(name, func(b *testing.B) {
+			t, err := sharedRunner().Trace(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trace.Preprocess(t)
+			}
+		})
+	}
+}
+
 // BenchmarkTraceDecodeStreaming walks every event through the streaming
 // Decoder without materialising a Trace — the near-zero-alloc path.
 func BenchmarkTraceDecodeStreaming(b *testing.B) {

@@ -3,6 +3,8 @@ package dml
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/cluster/wire"
 )
 
 // entry is one future object in a worker's table: its outstanding
@@ -89,6 +91,36 @@ func (t *Table) ApplyDec(id, w int64) (freed bool, err error) {
 		return true, fmt.Errorf("dml: object %d weight driven negative (%d)", id, e.weight)
 	}
 	return true, nil
+}
+
+// ApplyDecs lands a decrement frame atomically. Under one lock it checks
+// every entry first: the object exists, and the entries for one object
+// sum to at most its recorded weight. Then it applies all of them, or,
+// when any check fails, none. It returns the number of objects freed.
+func (t *Table) ApplyDecs(decs []wire.DecEntry) (freed int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sums := make(map[int64]int64, len(decs))
+	for _, d := range decs {
+		e, ok := t.objs[d.ObjID]
+		if !ok {
+			return 0, fmt.Errorf("%w: %d", ErrUnknownObject, d.ObjID)
+		}
+		sums[d.ObjID] += d.Weight
+		if sums[d.ObjID] > e.weight {
+			return 0, fmt.Errorf("dml: decrements of object %d sum to %d, above its weight %d", d.ObjID, sums[d.ObjID], e.weight)
+		}
+	}
+	for id, w := range sums {
+		e := t.objs[id]
+		e.weight -= w
+		if e.weight == 0 {
+			e.freed = true
+			delete(t.objs, id)
+			freed++
+		}
+	}
+	return freed, nil
 }
 
 // Live counts objects whose weight has not reached zero.

@@ -195,25 +195,21 @@ func (w *Worker) Touch(ctx context.Context, id int64) (TouchReply, error) {
 	}, nil
 }
 
-// ApplyDecs lands a combined decrement batch.
+// ApplyDecs lands a combined decrement batch atomically: a frame with
+// any bad entry (an unknown object, or more weight than an object
+// holds) is rejected whole and changes no weight, which matches the
+// Combiner writing off the whole of a failed frame.
 func (w *Worker) ApplyDecs(decs []wire.DecEntry) (DecReply, error) {
 	if err := checkDecs(decs); err != nil {
 		return DecReply{}, err
 	}
-	var rep DecReply
-	for _, d := range decs {
-		freed, err := w.table.ApplyDec(d.ObjID, d.Weight)
-		if err != nil {
-			return rep, err
-		}
-		rep.Applied++
-		w.decsApplied.Add(1)
-		if freed {
-			rep.Freed++
-			w.freed.Add(1)
-		}
+	freed, err := w.table.ApplyDecs(decs)
+	if err != nil {
+		return DecReply{}, err
 	}
-	return rep, nil
+	w.decsApplied.Add(int64(len(decs)))
+	w.freed.Add(int64(freed))
+	return DecReply{Applied: len(decs), Freed: freed}, nil
 }
 
 // Drain stops admission and waits (up to ctx) for queued evaluations to

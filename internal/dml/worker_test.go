@@ -95,6 +95,70 @@ func TestWorkerSpawnTouchDec(t *testing.T) {
 	}
 }
 
+// TestApplyDecsAtomic: a decrement frame with a bad entry is rejected
+// whole. A three-entry frame whose second entry names an unknown object,
+// or takes more weight than its object holds, leaves all three objects'
+// weights unchanged; entries for one object are checked by their sum.
+func TestApplyDecsAtomic(t *testing.T) {
+	w := NewWorker(WorkerConfig{})
+	defer w.Drain(context.Background())
+	var ids [3]int64
+	for i := range ids {
+		ids[i] = w.Table().Register().id
+	}
+	weights := func() [3]int64 {
+		tb := w.Table()
+		tb.mu.Lock()
+		defer tb.mu.Unlock()
+		var out [3]int64
+		for i, id := range ids {
+			if e, ok := tb.objs[id]; ok {
+				out[i] = e.weight
+			}
+		}
+		return out
+	}
+	// Leave the middle object a weight of 1.
+	if _, err := w.ApplyDecs([]wire.DecEntry{{ObjID: ids[1], Weight: InitialWeight - 1}}); err != nil {
+		t.Fatal(err)
+	}
+	want := [3]int64{InitialWeight, 1, InitialWeight}
+	if got := weights(); got != want {
+		t.Fatalf("weights = %v, want %v", got, want)
+	}
+
+	for _, c := range []struct {
+		name string
+		decs []wire.DecEntry
+	}{
+		{"unknown object", []wire.DecEntry{{ObjID: ids[0], Weight: 1}, {ObjID: 999, Weight: 1}, {ObjID: ids[2], Weight: 1}}},
+		{"over-decrement", []wire.DecEntry{{ObjID: ids[0], Weight: 1}, {ObjID: ids[1], Weight: 2}, {ObjID: ids[2], Weight: 1}}},
+		{"summed over-decrement", []wire.DecEntry{{ObjID: ids[1], Weight: 1}, {ObjID: ids[1], Weight: 1}, {ObjID: ids[2], Weight: 1}}},
+	} {
+		if _, err := w.ApplyDecs(c.decs); err == nil {
+			t.Errorf("%s: frame accepted", c.name)
+		}
+		if got := weights(); got != want {
+			t.Errorf("%s: weights = %v after a rejected frame, want %v", c.name, got, want)
+		}
+	}
+	if got := w.Stats().DecsApplied; got != 1 {
+		t.Errorf("decs applied = %d, want 1 (rejected frames apply nothing)", got)
+	}
+
+	// A good frame lands every entry.
+	dr, err := w.ApplyDecs([]wire.DecEntry{{ObjID: ids[0], Weight: 1}, {ObjID: ids[1], Weight: 1}, {ObjID: ids[2], Weight: InitialWeight}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr.Applied != 3 || dr.Freed != 2 {
+		t.Errorf("reply = %+v, want 3 applied and 2 freed", dr)
+	}
+	if got, want := weights(), [3]int64{InitialWeight - 1, 0, 0}; got != want {
+		t.Errorf("weights = %v, want %v", got, want)
+	}
+}
+
 // TestWorkerBacklogAndCancel: a full evaluation backlog rejects typed,
 // and a touch blocked on a slow future honours its context.
 func TestWorkerBacklogAndCancel(t *testing.T) {

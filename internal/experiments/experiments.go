@@ -129,8 +129,9 @@ var benchOrder = []string{"lyra", "plagen", "slang", "editor"}
 var benchOrderCh3 = []string{"slang", "plagen", "lyra", "editor", "pearl"}
 
 // Trace returns (and caches) the named benchmark trace. Concurrent
-// callers share a single generation; with CacheDir set, the binary
-// on-disk copy is tried before regenerating.
+// callers share a single generation, which stops with the runner's
+// context; with CacheDir set, the binary on-disk copy is tried before
+// regenerating.
 func (r *Runner) Trace(name string) (*trace.Trace, error) {
 	c := lookup(&r.mu, r.traces, name)
 	c.once.Do(func() {
@@ -146,7 +147,7 @@ func (r *Runner) Trace(name string) (*trace.Trace, error) {
 				return
 			}
 		}
-		c.v, c.err = benchprogs.Trace(b, r.cfg.Scale)
+		c.v, c.err = benchprogs.TraceCtx(r.ctx, b, r.cfg.Scale)
 		if c.err == nil && path != "" {
 			_ = saveCachedTrace(path, c.v) // best-effort
 		}

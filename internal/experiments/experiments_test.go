@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,6 +68,18 @@ func TestRunnerCachesTraces(t *testing.T) {
 	}
 	if sa != sb {
 		t.Error("stream not cached")
+	}
+}
+
+// TestTraceHonoursRunnerContext: trace generation runs under the
+// runner's context, so a cancelled runner gets the context's error
+// instead of a trace generated to the end.
+func TestTraceHonoursRunnerContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunnerCtx(ctx, Config{Scale: 1, Seeds: 5})
+	if _, err := r.Trace("slang"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Trace on a cancelled runner: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/benchprogs"
 	"repro/internal/core"
@@ -160,12 +161,166 @@ func badRequestf(format string, args ...any) error {
 	return &badRequestError{fmt.Sprintf(format, args...)}
 }
 
-// resolveStream produces the reference stream for a sim job, either by
-// generating a built-in benchmark trace, which stops once ctx is done,
-// or by decoding a user-supplied payload through the hardened decoders.
+// maxTraceScale caps the scale of built-in traces on /v1/sim and
+// /v1/experiments. A benchprog's source grows linearly with scale before
+// any step limit applies (lyra's trace at scale 8 has 659,513 events and
+// takes 0.9 s and 309 MB of allocation on a 2-vCPU host), and the cap
+// bounds the stream memo's keys to five programs times the cap.
+const maxTraceScale = 4
+
+// streamBudget is the most refs the stream memo holds. All five
+// benchprogs at the default scale 2 come to 157,468 refs (10.8 MB of heap),
+// so the default suite stays resident.
+const streamBudget = 1 << 18
+
+// streamKey names a built-in stream, which depends only on the program
+// and its scale.
+type streamKey struct {
+	prog  string
+	scale int
+}
+
+// memoEntry is one stream in the memo, kept or still being generated.
+// done closes when the generation ends. st is set under streamMemo.mu
+// before that, and stays nil if the generation failed, was cancelled or
+// panicked, in which case the entry has already left the memo.
+type memoEntry struct {
+	done chan struct{}
+	st   *trace.Stream
+	used uint64 // under streamMemo.mu; memo clock at the last lookup
+}
+
+// streamMemo keeps the preprocessed streams of built-in traces, so each
+// (program, scale) is generated and preprocessed once per process, the
+// way the thesis derives each reference stream once (§5.2.1) and replays
+// it under many LPT settings. Concurrent requests for one key share one
+// generation, which runs under the first requester's context. A
+// generation that fails is not kept, and each request that was waiting
+// on it tries again under its own context. The memo holds at most budget
+// refs and drops the least recently used stream first; a stream larger
+// than the budget is served without being kept. Memoized streams are
+// read-only and shared by concurrent simulations.
+type streamMemo struct {
+	budget  int
+	gen     func(ctx context.Context, b benchprogs.Benchmark, scale int) (*trace.Stream, error)
+	metrics *metrics
+
+	mu      sync.Mutex
+	entries map[streamKey]*memoEntry // guarded by mu
+	held    int                      // guarded by mu; refs across kept streams
+	clock   uint64                   // guarded by mu; ticks on every lookup
+}
+
+func newStreamMemo(budget int, m *metrics) *streamMemo {
+	return &streamMemo{
+		budget:  budget,
+		gen:     generateStream,
+		metrics: m,
+		entries: make(map[streamKey]*memoEntry),
+	}
+}
+
+// generateStream runs a benchprog on the VM with a trace collector and
+// preprocesses the trace: the work the memo saves.
+func generateStream(ctx context.Context, b benchprogs.Benchmark, scale int) (*trace.Stream, error) {
+	t, err := benchprogs.TraceCtx(ctx, b, scale)
+	if err != nil {
+		return nil, fmt.Errorf("generating %s trace: %w", b.Name, err)
+	}
+	return trace.Preprocess(t), nil
+}
+
+// get returns the stream of b at scale. Each lookup counts as a hit when
+// the stream is kept or already being generated, and as a miss when it
+// starts a generation.
+func (m *streamMemo) get(ctx context.Context, b benchprogs.Benchmark, scale int) (*trace.Stream, error) {
+	k := streamKey{b.Name, scale}
+	for {
+		m.mu.Lock()
+		e, ok := m.entries[k]
+		if !ok {
+			e = &memoEntry{done: make(chan struct{})}
+			m.entries[k] = e
+			m.mu.Unlock()
+			m.metrics.add("smalld_stream_memo_misses_total", 1)
+			return m.generate(ctx, k, b, e)
+		}
+		m.clock++
+		e.used = m.clock
+		m.mu.Unlock()
+		m.metrics.add("smalld_stream_memo_hits_total", 1)
+		select {
+		case <-e.done:
+			if e.st != nil {
+				return e.st, nil
+			}
+			// The generation failed or its requester went away; try
+			// again under this request's own context.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// generate runs e's generation and publishes its outcome, also when the
+// generator panics, so that no waiter is left blocked on e.
+func (m *streamMemo) generate(ctx context.Context, k streamKey, b benchprogs.Benchmark, e *memoEntry) (st *trace.Stream, err error) {
+	defer func() {
+		m.mu.Lock()
+		if err == nil && st != nil {
+			m.keepLocked(k, e, st)
+		} else {
+			delete(m.entries, k)
+		}
+		m.mu.Unlock()
+		close(e.done)
+	}()
+	return m.gen(ctx, b, k.scale)
+}
+
+// keepLocked publishes st in e, first dropping the least recently used
+// kept streams until st fits. A stream larger than the whole budget is
+// published to e's waiters but leaves the memo.
+func (m *streamMemo) keepLocked(k streamKey, e *memoEntry, st *trace.Stream) {
+	n := len(st.Refs)
+	if n > m.budget {
+		e.st = st
+		delete(m.entries, k)
+		return
+	}
+	for m.held+n > m.budget {
+		var lru streamKey
+		var oldest *memoEntry
+		for kk, o := range m.entries {
+			if o.st != nil && (oldest == nil || o.used < oldest.used) {
+				lru, oldest = kk, o
+			}
+		}
+		m.held -= len(oldest.st.Refs)
+		delete(m.entries, lru)
+	}
+	e.st = st
+	m.clock++
+	e.used = m.clock
+	m.held += n
+}
+
+// heldRefs reports the refs across memoized streams.
+func (m *streamMemo) heldRefs() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return int64(m.held)
+}
+
+// resolveStream produces the reference stream for a sim job, either from
+// the built-in stream memo, whose generation stops once ctx is done, or
+// by decoding a user-supplied payload through the hardened decoders.
 // The second return is the number of user payload bytes decoded (0 for
 // built-in benchmarks).
-func resolveStream(ctx context.Context, req *SimRequest) (*trace.Stream, int64, error) {
+func resolveStream(ctx context.Context, memo *streamMemo, req *SimRequest) (*trace.Stream, int64, error) {
 	switch {
 	case len(req.TraceData) > 0:
 		t, st, err := trace.ReadAuto(bytes.NewReader(req.TraceData))
@@ -201,11 +356,14 @@ func resolveStream(ctx context.Context, req *SimRequest) (*trace.Stream, int64, 
 		if scale <= 0 {
 			scale = 2
 		}
-		t, err := benchprogs.TraceCtx(ctx, b, scale)
-		if err != nil {
-			return nil, 0, fmt.Errorf("generating %s trace: %w", req.Trace, err)
+		if scale > maxTraceScale {
+			return nil, 0, badRequestf("scale %d exceeds the built-in trace cap of %d", scale, maxTraceScale)
 		}
-		return trace.Preprocess(t), 0, nil
+		st, err := memo.get(ctx, b, scale)
+		if err != nil {
+			return nil, 0, err
+		}
+		return st, 0, nil
 	default:
 		return nil, 0, badRequestf("one of trace, trace_text, or trace_data is required")
 	}
@@ -213,8 +371,8 @@ func resolveStream(ctx context.Context, req *SimRequest) (*trace.Stream, int64, 
 
 // runSim executes a sim job under ctx, fanning multi-point requests out
 // through the parsweep engine.
-func runSim(ctx context.Context, req *SimRequest) (*SimResponse, error) {
-	st, decoded, err := resolveStream(ctx, req)
+func runSim(ctx context.Context, memo *streamMemo, req *SimRequest) (*SimResponse, error) {
+	st, decoded, err := resolveStream(ctx, memo, req)
 	if err != nil {
 		return nil, err
 	}
@@ -278,6 +436,9 @@ func runExperiment(ctx context.Context, id string, req *ExperimentRequest) (*Exp
 	e, ok := experiments.ByID(id)
 	if !ok {
 		return nil, badRequestf("unknown experiment %q (GET /v1/experiments for the list)", id)
+	}
+	if req.Scale > maxTraceScale {
+		return nil, badRequestf("scale %d exceeds the built-in trace cap of %d", req.Scale, maxTraceScale)
 	}
 	r := experiments.NewRunnerCtx(ctx, experiments.Config{Scale: req.Scale, Seeds: req.Seeds})
 	rep, err := e.Run(r)

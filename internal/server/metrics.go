@@ -87,6 +87,8 @@ var counterHelp = map[string]string{
 	"smalld_eval_steps_total":         "interpreter steps consumed by session evals",
 	"smalld_sim_points_total":         "simulation points executed by /v1/sim jobs",
 	"smalld_trace_decode_bytes_total": "bytes of user-supplied trace payloads (text, binary, or refs) decoded by /v1/sim jobs",
+	"smalld_stream_memo_hits_total":   "built-in /v1/sim trace lookups served by the stream memo: kept, or already being generated",
+	"smalld_stream_memo_misses_total": "built-in /v1/sim trace lookups that generated and preprocessed the stream",
 	"smalld_ingest_bytes_total":       "raw trace bytes accepted into ingest staging",
 	"smalld_ingest_segments_total":    "trace segments staged by ingest pushes",
 	"smalld_ingest_rejected_total":    "ingest pushes rejected (rate limit, quota, or malformed segment)",

@@ -84,6 +84,7 @@ type Server struct {
 	queue      *queue
 	sessions   *sessions
 	staging    *ingest.Staging
+	streams    *streamMemo // preprocessed built-in traces for /v1/sim
 	cacheDir   string
 	metrics    *metrics
 	mux        *http.ServeMux
@@ -102,6 +103,7 @@ func New(cfg Config) *Server {
 		metrics:  m,
 		sessions: newSessions(cfg.SessionTTL, cfg.MaxSessions, m),
 		staging:  ingest.NewStaging(cfg.Ingest),
+		streams:  newStreamMemo(streamBudget, m),
 		cacheDir: cfg.CacheDir,
 		janitor:  make(chan struct{}),
 	}
@@ -114,6 +116,7 @@ func New(cfg Config) *Server {
 	m.addGauge("smalld_sessions_active", "live sessions", s.sessions.active)
 	m.addGauge("smalld_ingest_staging_bytes", "bytes currently staged across ingest tenants", s.staging.StagedBytes)
 	m.addGauge("smalld_ingest_tenants", "ingest tenants with staging state", func() int64 { return int64(s.staging.TenantCount()) })
+	m.addGauge("smalld_stream_memo_refs", fmt.Sprintf("refs held by the memo of built-in /v1/sim streams (budget %d)", streamBudget), s.streams.heldRefs)
 	m.addGauge("smalld_dml_objects_live", "future objects registered and not yet freed", func() int64 { return int64(s.dmlWorker.Table().Live()) })
 	m.addGauge("smalld_dml_outstanding_weight", "reference weight recorded across live future objects", s.dmlWorker.Table().OutstandingWeight)
 	m.addGauge("smalld_dml_spawns", "futures spawned on this worker", func() int64 { return s.dmlWorker.Stats().Spawns })
@@ -439,7 +442,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		err  error
 	)
 	s.dispatch(w, r, func(ctx context.Context) {
-		resp, err = runSim(ctx, &req)
+		resp, err = runSim(ctx, s.streams, &req)
 		if resp != nil {
 			var hits, misses, refops int64
 			for _, res := range resp.Results {

@@ -53,7 +53,17 @@ func (st *Stream) Text(id int) string {
 // simulator. Identifier 0 is reserved for "not a list".
 func Preprocess(t *Trace) *Stream {
 	ids := make(map[string]int)
-	st := &Stream{Name: t.Name, IDText: make([]string, 1, 64)}
+	st := &Stream{Name: t.Name, Refs: make([]Ref, 0, len(t.Events)), IDText: make([]string, 1, 64)}
+	// Every prim's Args are carved from one shared array, sized by a
+	// first pass; the full slice expressions keep an append to one Ref's
+	// Args from running into its neighbour's.
+	nargs := 0
+	for i := range t.Events {
+		if t.Events[i].Kind == KindPrim {
+			nargs += len(t.Events[i].Args)
+		}
+	}
+	args := make([]int, 0, nargs)
 	intern := func(s string) int {
 		if !isListText(s) {
 			return 0
@@ -77,8 +87,12 @@ func Preprocess(t *Trace) *Stream {
 			st.Refs = append(st.Refs, Ref{Kind: RefExit, Op: op, Depth: ev.Depth})
 		case KindPrim:
 			r := Ref{Kind: RefPrim, Op: op, Depth: ev.Depth}
-			for _, a := range ev.Args {
-				r.Args = append(r.Args, intern(a))
+			if len(ev.Args) > 0 {
+				start := len(args)
+				for _, a := range ev.Args {
+					args = append(args, intern(a))
+				}
+				r.Args = args[start:len(args):len(args)]
 			}
 			r.Result = intern(ev.Result)
 			for _, id := range r.Args {
