@@ -1,5 +1,5 @@
 // Package errdrop forbids silently discarded errors in the decoding
-// layers and in distributed Multilisp.
+// layers, in distributed Multilisp and in the simulation layers.
 //
 // internal/trace, internal/cluster/wire, and internal/ingest parse
 // untrusted bytes; their errors carry byte offsets and segment indices
@@ -7,7 +7,11 @@
 // doesn't just hide a failure — it turns a diagnosable truncated
 // upload into a silently wrong replay. internal/dml moves reference
 // weight over the network: a dropped send error there leaves weight
-// stuck on a live worker with nothing counting it. In these packages a
+// stuck on a live worker with nothing counting it. internal/sim,
+// internal/core, internal/heap and internal/clark are the Chapter 5
+// simulator, the SMALL machine, its heaps and its list model: a heap
+// or LPT error dropped there lets a replay run on from a state it never
+// reached and report counters that look valid. In these packages a
 // call that returns an error must not discard it:
 //
 //   - a bare call statement whose results include an error fires;
@@ -42,12 +46,17 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope is the set of packages that decode untrusted or
-// offset-addressed input, plus the dml weight protocol.
+// offset-addressed input, the dml weight protocol, and the simulation
+// layers.
 var scope = []string{
 	"internal/trace", "trace",
 	"internal/ingest", "ingest",
 	"internal/cluster/wire", "wire",
 	"internal/dml", "dml",
+	"internal/sim", "sim",
+	"internal/core", "core",
+	"internal/heap", "heap",
+	"internal/clark", "clark",
 }
 
 func run(pass *analysis.Pass) error {

@@ -13,6 +13,7 @@ package clark
 import (
 	"math/rand"
 
+	"repro/internal/heap"
 	"repro/internal/sexpr"
 )
 
@@ -25,7 +26,15 @@ type Model struct {
 	MeanP float64
 	// syms numbers generated atoms so distinct objects stay distinct.
 	syms int64
+	// shape and items are genShape's result and its fold worklist, kept
+	// between calls for their storage.
+	shape heap.Shape
+	items []span
 }
+
+// span is one top-level item of a list being folded: the atoms first
+// through last.
+type span struct{ first, last int }
 
 // New returns a model seeded deterministically.
 func New(seed int64) *Model {
@@ -110,20 +119,22 @@ func (m *Model) CarDistance() int64 {
 	return d
 }
 
-// GenList builds a random s-expression with exactly the given metrics:
-// n fresh symbols and p nested sublists, shaped randomly. Used by the
-// simulator to materialise read-in objects.
-func (m *Model) GenList(met sexpr.Metrics) sexpr.Value {
+// genShape samples the shape of a list with exactly the given metrics:
+// n fresh atoms and p nested sublists, shaped randomly. The shape is
+// the model's own buffer, valid until its next sample.
+func (m *Model) genShape(met sexpr.Metrics) *heap.Shape {
 	n, p := met.N, met.P
 	if n < 1 {
 		n = 1
 	}
+	sh := &m.shape
+	sh.Reset(n, m.syms+1)
+	m.syms += int64(n)
 	// Start with a flat list of n atoms, then fold random consecutive
 	// runs into sublists p times.
-	items := make([]sexpr.Value, n)
-	for i := range items {
-		m.syms++
-		items[i] = sexpr.Symbol(symName(m.syms))
+	items := m.items[:0]
+	for i := 0; i < n; i++ {
+		items = append(items, span{i, i})
 	}
 	for i := 0; i < p && len(items) > 1; i++ {
 		// Choose a run [a, a+l) to wrap. Never wrap the entire list, so
@@ -134,15 +145,29 @@ func (m *Model) GenList(met sexpr.Metrics) sexpr.Value {
 			maxLen--
 		}
 		l := 1 + m.rng.Intn(maxLen)
-		sub := sexpr.List(items[a : a+l]...)
-		// Fold in place: List copied the run into fresh cells, so the run's
-		// slots can be overwritten — replace it with the sublist and shift
-		// the tail left, avoiding three slice allocations per fold.
+		sub := span{items[a].first, items[a+l-1].last}
+		sh.Wrap(sub.first, sub.last)
+		// Replace the run with the sublist and shift the tail left.
 		copy(items[a+1:], items[a+l:])
 		items[a] = sub
 		items = items[:len(items)-l+1]
 	}
-	return sexpr.List(items...)
+	m.items = items
+	return sh
+}
+
+// SampleShape samples the shape of a fresh list drawn from the (n, p)
+// model: Sample without the s-expression. The simulator reads its fresh
+// objects in from shapes (heap.TwoPtr.BuildShape).
+func (m *Model) SampleShape() *heap.Shape {
+	return m.genShape(m.SampleNP())
+}
+
+// GenList builds a random s-expression with exactly the given metrics:
+// the list genShape samples, each atom a symbol named "s" and then its
+// fresh-atom number in base 26, as heap.Shape.Value names it.
+func (m *Model) GenList(met sexpr.Metrics) sexpr.Value {
+	return m.genShape(met).Value()
 }
 
 // Sample generates a fresh random list drawn from the (n, p) model.
@@ -155,18 +180,3 @@ func (m *Model) Float64() float64 { return m.rng.Float64() }
 
 // Intn exposes the model's RNG.
 func (m *Model) Intn(n int) int { return m.rng.Intn(n) }
-
-func symName(i int64) string {
-	// compact base-26 names: a, b, ..., z, aa, ab, ...
-	var buf [8]byte
-	pos := len(buf)
-	for i >= 0 {
-		pos--
-		buf[pos] = byte('a' + i%26)
-		i = i/26 - 1
-		if pos == 0 {
-			break
-		}
-	}
-	return "s" + string(buf[pos:])
-}

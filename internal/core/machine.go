@@ -308,11 +308,31 @@ func (m *Machine) enterOverflow() {
 // (§4.3.2.2.1). prev, when a list, is the object previously bound to the
 // variable being read into; its reference is released first.
 func (m *Machine) ReadList(v sexpr.Value, prev Value) (Value, error) {
+	m.startRead(prev)
+	return m.finishRead(m.heap.Build(v))
+}
+
+// ReadShape reads in the list of fresh atoms that s describes, as
+// ReadList reads in s.Value(), with the same heap cells, LPT entry and
+// counters, but without building the s-expression or interning its
+// atoms (heap.TwoPtr.BuildShape). The simulator reads its fresh objects
+// in this way.
+func (m *Machine) ReadShape(s *heap.Shape, prev Value) (Value, error) {
+	m.startRead(prev)
+	return m.finishRead(m.heap.BuildShape(s))
+}
+
+// startRead releases the object a read-in replaces and counts the read.
+func (m *Machine) startRead(prev Value) {
 	if prev.Kind == VList || prev.Kind == VHeap {
 		m.Release(prev)
 	}
 	m.stats.ReadLists++
-	w, err := m.heap.Build(v)
+}
+
+// finishRead gives the heap object w just read in an LPT entry, or a
+// large identifier in overflow mode when the table is full.
+func (m *Machine) finishRead(w heap.Word, err error) (Value, error) {
 	if err != nil {
 		return NilValue, err
 	}

@@ -67,8 +67,9 @@ var ErrNotList = errors.New("heap: car/cdr of non-list")
 
 // Atoms interns atom values shared by all representations in a heap.
 type Atoms struct {
-	vals  []sexpr.Value
-	index map[sexpr.Value]int32
+	vals      []sexpr.Value // nil at a fresh atom's index (see fresh)
+	index     map[sexpr.Value]int32
+	freshRuns []freshRun // the fresh atoms' numbering, by index
 }
 
 // NewAtoms returns an empty atom table.
@@ -80,6 +81,7 @@ func NewAtoms() *Atoms {
 func (a *Atoms) Reset() {
 	a.vals = a.vals[:0]
 	clear(a.index)
+	a.freshRuns = a.freshRuns[:0]
 }
 
 // Intern returns a word denoting the atom v (nil maps to NilWord).
@@ -110,7 +112,10 @@ func (a *Atoms) Value(w Word) (sexpr.Value, error) {
 		if int(w.Val) >= len(a.vals) {
 			return nil, ErrBadAddress
 		}
-		return a.vals[w.Val], nil
+		if v := a.vals[w.Val]; v != nil {
+			return v, nil
+		}
+		return a.freshValue(w.Val), nil
 	default:
 		return nil, fmt.Errorf("heap: word %v is not an atom", w)
 	}

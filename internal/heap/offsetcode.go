@@ -83,22 +83,20 @@ func (h *OffsetCode) cellAt(w Word) (int32, error) {
 
 // Car implements Representation.
 func (h *OffsetCode) Car(w Word) (Word, error) {
-	w, err := h.resolveInvisible(w)
+	addr, err := h.resolveInvisible(w)
 	if err != nil {
 		return NilWord, err
 	}
-	addr, _ := h.cellAt(w)
 	h.touches++
 	return h.words[addr].Car, nil
 }
 
 // Cdr implements Representation.
 func (h *OffsetCode) Cdr(w Word) (Word, error) {
-	w, err := h.resolveInvisible(w)
+	addr, err := h.resolveInvisible(w)
 	if err != nil {
 		return NilWord, err
 	}
-	addr, _ := h.cellAt(w)
 	h.touches++
 	switch code := h.words[addr].Code; {
 	case code == ocNil:
@@ -115,11 +113,10 @@ func (h *OffsetCode) Cdr(w Word) (Word, error) {
 
 // Rplaca overwrites the car field.
 func (h *OffsetCode) Rplaca(w, v Word) error {
-	w, err := h.resolveInvisible(w)
+	addr, err := h.resolveInvisible(w)
 	if err != nil {
 		return err
 	}
-	addr, _ := h.cellAt(w)
 	h.touches++
 	h.words[addr].Car = v
 	return nil
@@ -171,11 +168,10 @@ func (h *OffsetCode) Cons(car, cdr Word) (Word, error) {
 // as a fresh spill pair and the old word becomes an invisible pointer to
 // it, exactly as the MIT scheme handles the same problem.
 func (h *OffsetCode) Rplacd(w, v Word) error {
-	w, err := h.resolveInvisible(w)
+	addr, err := h.resolveInvisible(w)
 	if err != nil {
 		return err
 	}
-	addr, _ := h.cellAt(w)
 	cw := &h.words[addr]
 	if cw.Code == ocSpill {
 		h.touches++
@@ -200,20 +196,22 @@ func (h *OffsetCode) Rplacd(w, v Word) error {
 	return nil
 }
 
-// resolveInvisible follows invisible pointers left by Rplacd conversions.
-func (h *OffsetCode) resolveInvisible(w Word) (Word, error) {
+// resolveInvisible follows invisible pointers left by Rplacd conversions
+// and returns the address of the cell at the end of the chain, which it
+// has checked with cellAt.
+func (h *OffsetCode) resolveInvisible(w Word) (int32, error) {
 	for hops := 0; hops < 64; hops++ {
 		addr, err := h.cellAt(w)
 		if err != nil {
-			return NilWord, err
+			return 0, err
 		}
 		if h.words[addr].Car.Tag != TagInvisible {
-			return w, nil
+			return addr, nil
 		}
 		h.touches++
 		w = Word{Tag: TagCell, Val: h.words[addr].Car.Val}
 	}
-	return NilWord, fmt.Errorf("%w: invisible chain too long", ErrBadAddress)
+	return 0, fmt.Errorf("%w: invisible chain too long", ErrBadAddress)
 }
 
 // Build implements Representation: each list level is laid out as a
@@ -288,10 +286,11 @@ func (h *OffsetCode) Decode(w Word) (sexpr.Value, error) {
 	case TagNil, TagAtom:
 		return h.atoms.Value(w)
 	}
-	w, err := h.resolveInvisible(w)
+	addr, err := h.resolveInvisible(w)
 	if err != nil {
 		return nil, err
 	}
+	w = Word{Tag: TagCell, Val: addr}
 	car, err := h.Car(w)
 	if err != nil {
 		return nil, err

@@ -28,6 +28,10 @@ type TwoPtr struct {
 	atoms    *Atoms
 	touches  int64
 	allocs   int64
+	// shapeElems and shapeStarts are BuildShape's stacks, kept between
+	// calls for their storage.
+	shapeElems  []Word
+	shapeStarts []int32
 }
 
 type cell struct {
@@ -61,6 +65,8 @@ func (h *TwoPtr) Reset(capacity int) {
 	h.nFree = capacity
 	h.touches = 0
 	h.allocs = 0
+	h.shapeElems = h.shapeElems[:0]
+	h.shapeStarts = h.shapeStarts[:0]
 }
 
 // Atoms exposes the heap's atom table.

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/clark"
 	"repro/internal/core"
-	"repro/internal/sexpr"
 	"repro/internal/trace"
 )
 
@@ -363,14 +362,14 @@ func (s *simulator) pushFrame(nargs int) {
 
 // freshObject reads a new random list into the stack (slot < 0 appends).
 func (s *simulator) freshObject(slot int) error {
-	v := s.model.Sample()
-	m := sexpr.Measure(v)
-	cells := m.N + m.P // two-pointer footprint (Fig 3.2)
+	sh := s.model.SampleShape()
+	met := sh.Metrics()
+	cells := met.N + met.P // two-pointer footprint (Fig 3.2)
 	var prev core.Value
 	if slot >= 0 {
 		prev = s.stack[slot].val
 	}
-	val, err := s.m.ReadList(v, prev)
+	val, err := s.m.ReadShape(sh, prev)
 	if err != nil {
 		return err
 	}

@@ -8,23 +8,37 @@ import (
 	"repro/internal/trace"
 )
 
-var streams = map[string]*trace.Stream{}
+type streamKey struct {
+	name  string
+	scale int
+}
 
+var streams = map[streamKey]*trace.Stream{}
+
+// stream returns the named benchprog's reference stream at scale 1.
 func stream(t testing.TB, name string) *trace.Stream {
 	t.Helper()
-	if st, ok := streams[name]; ok {
+	return streamAt(t, name, 1)
+}
+
+// streamAt returns the named benchprog's reference stream at scale,
+// generating it once per test binary.
+func streamAt(t testing.TB, name string, scale int) *trace.Stream {
+	t.Helper()
+	k := streamKey{name, scale}
+	if st, ok := streams[k]; ok {
 		return st
 	}
 	b, ok := benchprogs.ByName(name)
 	if !ok {
 		t.Fatalf("no benchmark %s", name)
 	}
-	tr, err := benchprogs.Trace(b, 1)
+	tr, err := benchprogs.Trace(b, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := trace.Preprocess(tr)
-	streams[name] = st
+	streams[k] = st
 	return st
 }
 

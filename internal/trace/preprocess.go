@@ -76,10 +76,17 @@ func Preprocess(t *Trace) *Stream {
 		st.IDText = append(st.IDText, s)
 		return st.MaxID
 	}
+	// A trace names few distinct ops, so each is interned once per call
+	// rather than under the op table's lock for every event.
+	ops := make(map[string]Opcode)
 	prevResult := 0
 	for i := range t.Events {
 		ev := &t.Events[i]
-		op := InternOp(ev.Op)
+		op, ok := ops[ev.Op]
+		if !ok {
+			op = InternOp(ev.Op)
+			ops[ev.Op] = op
+		}
 		switch ev.Kind {
 		case KindEnter:
 			st.Refs = append(st.Refs, Ref{Kind: RefEnter, Op: op, NArgs: ev.NArgs, Depth: ev.Depth})
