@@ -60,10 +60,12 @@ smoke-ingest:
 # fuzz corpora under testdata/fuzz (no live fuzzing; use `go test -fuzz`
 # for that). Explicit in verify so a format change that breaks a saved
 # hostile input fails loudly by name. Covers both untrusted-byte
-# decoders (the binary trace codec and the cluster RPC wire protocol)
-# and the interpreter-vs-VM session parity scripts.
+# decoders (the binary trace codec and the cluster RPC wire protocol),
+# the s-expression reader every eval body goes through (held to the
+# rune reader it replaced), and the interpreter-vs-VM session parity
+# scripts.
 fuzz-corpus:
-	$(GO) test -run 'RoundTrip|^Fuzz' -count 1 ./internal/trace/ ./internal/cluster/wire/ ./internal/vm/
+	$(GO) test -run 'RoundTrip|^Fuzz' -count 1 ./internal/trace/ ./internal/cluster/wire/ ./internal/sexpr/ ./internal/vm/
 
 # End-to-end check of distributed Multilisp: gateway + two workers, a
 # dml session whose pcall spawns land on real workers over the binary

@@ -1,5 +1,6 @@
 // Package errdrop forbids silently discarded errors in the decoding
-// layers, in distributed Multilisp and in the simulation layers.
+// layers, in distributed Multilisp, in the simulation layers and in the
+// session front end.
 //
 // internal/trace, internal/cluster/wire, and internal/ingest parse
 // untrusted bytes; their errors carry byte offsets and segment indices
@@ -11,8 +12,12 @@
 // internal/core, internal/heap and internal/clark are the Chapter 5
 // simulator, the SMALL machine, its heaps and its list model: a heap
 // or LPT error dropped there lets a replay run on from a state it never
-// reached and report counters that look valid. In these packages a
-// call that returns an error must not discard it:
+// reached and report counters that look valid. internal/sexpr and
+// internal/vm are the session front end: every eval body is untrusted
+// input to the reader, and the VM turns machine structure back into
+// values and text, where a dropped conversion error (a circular list)
+// becomes a wrong message or none. In these packages a call that
+// returns an error must not discard it:
 //
 //   - a bare call statement whose results include an error fires;
 //   - assigning the error result to `_` fires — discarding must be
@@ -46,8 +51,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope is the set of packages that decode untrusted or
-// offset-addressed input, the dml weight protocol, and the simulation
-// layers.
+// offset-addressed input, the dml weight protocol, the simulation
+// layers, and the reader and VM every session eval goes through.
 var scope = []string{
 	"internal/trace", "trace",
 	"internal/ingest", "ingest",
@@ -57,6 +62,8 @@ var scope = []string{
 	"internal/core", "core",
 	"internal/heap", "heap",
 	"internal/clark", "clark",
+	"internal/sexpr", "sexpr",
+	"internal/vm", "vm",
 }
 
 func run(pass *analysis.Pass) error {

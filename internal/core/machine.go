@@ -738,45 +738,71 @@ func (m *Machine) childToWordDeep(c child) (heap.Word, error) {
 }
 
 // ValueOf decodes an EP value back into an s-expression (testing and
-// I/O). It does not disturb reference counts.
+// I/O). It does not disturb reference counts. It reads LPT entries and
+// heap cells in place through the cursor AppendTextOf and Equal use,
+// within sexpr's walk bounds: a circular value is sexpr.ErrCircular or
+// sexpr.ErrTooLarge, never an unbounded recursion.
 func (m *Machine) ValueOf(v Value) (sexpr.Value, error) {
-	switch v.Kind {
-	case VNil:
-		return nil, nil
-	case VAtom:
-		return m.heap.Atoms().Value(v.Atom)
-	case VHeap:
-		return m.heap.Decode(v.Addr)
-	case VList:
-		if !m.lpt.valid(v.ID) {
-			return nil, fmt.Errorf("core: stale identifier %d", v.ID)
-		}
-		e := m.lpt.get(v.ID)
-		if e.hasAddr {
-			return m.heap.Decode(e.addr)
-		}
-		car, err := m.childValueOf(e.car)
-		if err != nil {
-			return nil, err
-		}
-		cdr, err := m.childValueOf(e.cdr)
-		if err != nil {
-			return nil, err
-		}
-		return sexpr.Cons(car, cdr), nil
+	c, err := m.textCursorOf(v)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: bad value kind %d", v.Kind)
+	budget := sexpr.MaxCells
+	return m.cursorValue(c, 0, &budget)
 }
 
-func (m *Machine) childValueOf(c child) (sexpr.Value, error) {
-	switch c.kind {
-	case childNil:
-		return nil, nil
-	case childAtom:
-		return m.heap.Atoms().Value(c.atom())
-	case childEntry:
-		return m.ValueOf(Value{Kind: VList, ID: c.id})
-	default:
-		return nil, fmt.Errorf("core: unset child")
+// cursorValue decodes the structure at c, nested depth cars deep, within
+// what is left of the cell budget. It follows cdrs in a loop and
+// recurses only into cars.
+func (m *Machine) cursorValue(c textCursor, depth int, budget *int) (sexpr.Value, error) {
+	rc, isCell, err := m.resolveCursor(c)
+	if err != nil {
+		return nil, err
+	}
+	if !isCell {
+		return m.heap.Atoms().Value(rc.w)
+	}
+	if depth >= sexpr.MaxDepth {
+		return nil, sexpr.ErrTooLarge
+	}
+	var head, last *sexpr.Cell
+	var cy sexpr.Cycle[textCursor]
+	cy.Start(rc)
+	for {
+		if *budget--; *budget < 0 {
+			return nil, sexpr.ErrTooLarge
+		}
+		if !rc.isWord {
+			if e := m.lpt.get(rc.id); e.car.kind == childUnset || e.cdr.kind == childUnset {
+				return nil, fmt.Errorf("core: unset child")
+			}
+		}
+		car, cdr, err := m.cursorChildren(rc)
+		if err != nil {
+			return nil, err
+		}
+		carV, err := m.cursorValue(car, depth+1, budget)
+		if err != nil {
+			return nil, err
+		}
+		cell := &sexpr.Cell{Car: carV}
+		if head == nil {
+			head = cell
+		} else {
+			last.Cdr = cell
+		}
+		last = cell
+		if rc, isCell, err = m.resolveCursor(cdr); err != nil {
+			return nil, err
+		}
+		if !isCell {
+			if last.Cdr, err = m.heap.Atoms().Value(rc.w); err != nil {
+				return nil, err
+			}
+			return head, nil
+		}
+		if cy.Step(rc) {
+			return nil, sexpr.ErrCircular
+		}
 	}
 }

@@ -2,7 +2,6 @@ package lisp
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
 	"sync"
 
@@ -53,8 +52,6 @@ func (in *Interp) rplacdT(c *sexpr.Cell, v sexpr.Value) sexpr.Value {
 	return c
 }
 
-var cxrPattern = regexp.MustCompile(`^c([ad]{2,4})r$`)
-
 // builtinNames holds the special forms and primitives of a stock
 // interpreter.
 var builtinNames = sync.OnceValue(func() map[sexpr.Symbol]bool {
@@ -73,7 +70,8 @@ var builtinNames = sync.OnceValue(func() map[sexpr.Symbol]bool {
 // itself, as a special form, a primitive or a composite accessor
 // (cadr .. cddddr). It never calls a user function of such a name.
 func IsBuiltin(name sexpr.Symbol) bool {
-	return builtinNames()[name] || cxrPattern.MatchString(string(name))
+	_, _, cxr := sexpr.Accessor(name)
+	return builtinNames()[name] || cxr
 }
 
 // Builtins returns the special forms and primitives of a stock
@@ -205,14 +203,13 @@ func (in *Interp) installPrims() {
 	}
 }
 
-// cxr resolves composite access functions like cadr, cdar, caddr into a
-// chain of traced car/cdr calls, which is exactly how they hit the trace
-// in an interpreted Lisp and the source of the function chaining measured
-// in Table 3.2.
-func (in *Interp) cxr(ops string, v sexpr.Value) sexpr.Value {
-	// ops is the letters between c and r; apply right to left.
-	for i := len(ops) - 1; i >= 0; i-- {
-		if ops[i] == 'a' {
+// cxr applies a composite accessor (see sexpr.Accessor) as a chain of
+// traced car/cdr calls, which is exactly how they hit the trace in an
+// interpreted Lisp and the source of the function chaining measured in
+// Table 3.2.
+func (in *Interp) cxr(steps int, mask uint8, v sexpr.Value) sexpr.Value {
+	for j := 0; j < steps; j++ {
+		if mask>>j&1 == 1 {
 			v = in.carT(v)
 		} else {
 			v = in.cdrT(v)
@@ -740,6 +737,11 @@ func primAbs(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 }
 
 func primPrint(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
+	for _, a := range args {
+		if err := sexpr.Printable(a); err != nil {
+			return nil, err
+		}
+	}
 	for i, a := range args {
 		if i > 0 {
 			fmt.Fprint(in.out, " ")

@@ -184,6 +184,11 @@ func (in *Interp) Run(src string) (sexpr.Value, error) {
 			return nil, err
 		}
 	}
+	// A value the printer cannot render in full (a circular list) is an
+	// error, as it is on the VM.
+	if err := sexpr.Printable(last); err != nil {
+		return nil, err
+	}
 	return last, nil
 }
 
@@ -247,7 +252,7 @@ func (in *Interp) evalCall(form *sexpr.Cell) (sexpr.Value, error) {
 		}
 		return in.callPrim(head, p, args, form)
 	}
-	if m := cxrPattern.FindStringSubmatch(string(head)); m != nil {
+	if steps, mask, ok := sexpr.Accessor(head); ok {
 		args, err := in.evalArgs(form.Cdr)
 		if err != nil {
 			return nil, err
@@ -255,7 +260,7 @@ func (in *Interp) evalCall(form *sexpr.Cell) (sexpr.Value, error) {
 		if len(args) != 1 {
 			return nil, errf(form, "%s wants 1 arg", head)
 		}
-		return in.cxr(m[1], args[0]), nil
+		return in.cxr(steps, mask, args[0]), nil
 	}
 	if fn, ok := in.fns[head]; ok {
 		switch fn.Kind {

@@ -1,6 +1,7 @@
 package lisp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -409,5 +410,39 @@ func TestDottedFunctionCallArgs(t *testing.T) {
 	if _, err := in.Run("(cons 'a . b)"); err == nil {
 		// improper arg list silently treated as empty tail: cons arity fails
 		t.Log("improper call accepted (arity still enforced elsewhere)")
+	}
+}
+
+// TestCircularValue: a circular value, as an eval's result or a print
+// argument, is an error before anything is printed, and one met in an
+// error message prints with "..." where its cycle closes; the
+// interpreter stays usable.
+func TestCircularValue(t *testing.T) {
+	var out strings.Builder
+	in := New(WithOutput(&out))
+	if _, err := in.Run("(setq x (list 1 2)) (setq y (list 3 4))"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src  string
+		want error
+	}{
+		{"(rplacd (cdr x) x)", sexpr.ErrCircular},
+		{"x", sexpr.ErrCircular},
+		{"(print 0 x)", sexpr.ErrCircular},
+		{"(rplaca y y)", sexpr.ErrTooLarge},
+	} {
+		if _, err := in.Run(c.src); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.src, err, c.want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("print of a circular list printed %q", out.String())
+	}
+	if _, err := in.Run("(add1 x)"); err == nil || !strings.Contains(err.Error(), "non-number: (1 2 1 ...)") {
+		t.Errorf("(add1 x): %v", err)
+	}
+	if v, err := in.Run("(list (car x) (cadr x) (car (cddr x)) (cadr y))"); err != nil || sexpr.String(v) != "(1 2 1 4)" {
+		t.Errorf("after circular values: %v %v", v, err)
 	}
 }

@@ -643,3 +643,25 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("metrics missing request counters:\n%s", body)
 	}
 }
+
+// TestCircularValueInBand: an eval whose value is a circular list
+// answers 200 with error set, on the VM and on the interpreter, and the
+// session goes on serving. Rendering that value once took smalld down.
+func TestCircularValueInBand(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, backend := range []string{"vm", "lisp"} {
+		var info SessionInfo
+		doJSON(t, "POST", hs.URL+"/v1/sessions", SessionCreateRequest{Backend: backend}, &info)
+		base := hs.URL + "/v1/sessions/" + info.ID
+		var res EvalResult
+		resp := doJSON(t, "POST", base+"/eval", SessionEvalRequest{Expr: "(setq x (list 1 2)) (rplacd (cdr x) x)"}, &res)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(res.Error, "circular list") {
+			t.Fatalf("%s: circular value: status %d, %+v", backend, resp.StatusCode, res)
+		}
+		var after EvalResult
+		doJSON(t, "POST", base+"/eval", SessionEvalRequest{Expr: "(list (car x) (cadr x) (car (cddr x)))"}, &after)
+		if after.Error != "" || after.Value != "(1 2 1)" {
+			t.Fatalf("%s: after a circular value: %+v", backend, after)
+		}
+	}
+}

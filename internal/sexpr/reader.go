@@ -5,21 +5,28 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Reader parses s-expressions from a string. It supports lists, dotted
 // pairs, integers, floats, strings, symbols, 'x quote shorthand, and
 // ;-to-end-of-line comments. Symbol case is preserved.
+//
+// The reader walks the source byte by byte and decodes a rune only at a
+// byte of 0x80 or above. A byte that does not begin valid UTF-8 reads
+// as U+FFFD, as it would after converting the source to runes. An atom
+// is a substring of the source, so a symbol kept after the parse (in
+// compiled code, or in an atom table) keeps the source text alive.
 type Reader struct {
-	src []rune
-	pos int
+	src string
+	pos int // byte offset
 	// line tracks the current 1-based line for error messages.
 	line int
 }
 
 // NewReader returns a Reader over src.
 func NewReader(src string) *Reader {
-	return &Reader{src: []rune(src), line: 1}
+	return &Reader{src: src, line: 1}
 }
 
 // SyntaxError describes a parse failure with its line number.
@@ -36,40 +43,42 @@ func (r *Reader) errf(format string, args ...any) error {
 	return &SyntaxError{Line: r.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (r *Reader) peek() (rune, bool) {
-	if r.pos >= len(r.src) {
-		return 0, false
-	}
-	return r.src[r.pos], true
+// delim marks the ASCII bytes that end an atom: white space, brackets,
+// the string quote, the comment start and the quote mark.
+var delim = [utf8.RuneSelf]bool{
+	'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true,
+	'(': true, ')': true, '[': true, ']': true, '"': true, ';': true, '\'': true,
 }
 
-func (r *Reader) next() (rune, bool) {
-	ch, ok := r.peek()
-	if ok {
-		r.pos++
-		if ch == '\n' {
-			r.line++
-		}
-	}
-	return ch, ok
+// isSpaceByte reports whether an ASCII byte is white space in the sense
+// of unicode.IsSpace.
+func isSpaceByte(c byte) bool {
+	return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
 }
 
 func (r *Reader) skipSpace() {
-	for {
-		ch, ok := r.peek()
-		if !ok {
-			return
-		}
+	for r.pos < len(r.src) {
+		c := r.src[r.pos]
 		switch {
-		case unicode.IsSpace(ch):
-			r.next()
-		case ch == ';':
-			for {
-				c, ok := r.next()
-				if !ok || c == '\n' {
-					break
-				}
+		case c == '\n':
+			r.line++
+			r.pos++
+		case isSpaceByte(c):
+			r.pos++
+		case c == ';':
+			i := strings.IndexByte(r.src[r.pos:], '\n')
+			if i < 0 {
+				r.pos = len(r.src)
+				return
 			}
+			r.pos += i + 1
+			r.line++
+		case c >= utf8.RuneSelf:
+			ch, n := utf8.DecodeRuneInString(r.src[r.pos:])
+			if !unicode.IsSpace(ch) {
+				return
+			}
+			r.pos += n
 		default:
 			return
 		}
@@ -79,27 +88,25 @@ func (r *Reader) skipSpace() {
 // More reports whether any non-space, non-comment input remains.
 func (r *Reader) More() bool {
 	r.skipSpace()
-	_, ok := r.peek()
-	return ok
+	return r.pos < len(r.src)
 }
 
 // Read parses the next datum. At end of input it returns (nil, false, nil);
 // the ok result distinguishes "read the atom nil" from "no more input".
 func (r *Reader) Read() (v Value, ok bool, err error) {
 	r.skipSpace()
-	ch, any := r.peek()
-	if !any {
+	if r.pos >= len(r.src) {
 		return nil, false, nil
 	}
-	switch ch {
+	switch c := r.src[r.pos]; c {
 	case '(', '[':
 		v, err = r.readList()
 		return v, err == nil, err
 	case ')', ']':
-		r.next()
-		return nil, false, r.errf("unexpected %q", ch)
+		r.pos++
+		return nil, false, r.errf("unexpected %q", rune(c))
 	case '\'':
-		r.next()
+		r.pos++
 		inner, ok, err := r.Read()
 		if err != nil {
 			return nil, false, err
@@ -118,31 +125,33 @@ func (r *Reader) Read() (v Value, ok bool, err error) {
 }
 
 // readList consumes a balanced list starting at '(' or '['. Brackets must
-// match their own kind: '[' pairs with ']' and '(' with ')'.
+// match their own kind: '[' pairs with ']' and '(' with ')'. Cells are
+// linked as their items are read.
 func (r *Reader) readList() (Value, error) {
-	open, _ := r.next()
-	closer := ')'
+	open := rune(r.src[r.pos])
+	r.pos++
+	closer := byte(')')
 	if open == '[' {
 		closer = ']'
 	}
-	var items []Value
+	var head, last *Cell
 	dotted := Value(nil)
 	sawDot := false
 	for {
 		r.skipSpace()
-		ch, ok := r.peek()
-		if !ok {
+		if r.pos >= len(r.src) {
 			return nil, r.errf("unterminated list")
 		}
-		if ch == ')' || ch == ']' {
-			if ch != closer {
-				return nil, r.errf("mismatched %q closing %q", ch, open)
+		c := r.src[r.pos]
+		if c == ')' || c == ']' {
+			if c != closer {
+				return nil, r.errf("mismatched %q closing %q", rune(c), open)
 			}
-			r.next()
+			r.pos++
 			break
 		}
-		if ch == '.' && r.isDotSeparator() {
-			r.next()
+		if c == '.' && r.isDotSeparator() {
+			r.pos++
 			if sawDot {
 				return nil, r.errf("multiple dots in list")
 			}
@@ -167,13 +176,19 @@ func (r *Reader) readList() (Value, error) {
 		if sawDot {
 			return nil, r.errf("datum after dotted tail")
 		}
-		items = append(items, item)
+		cell := &Cell{Car: item}
+		if head == nil {
+			head = cell
+		} else {
+			last.Cdr = cell
+		}
+		last = cell
 	}
-	out := dotted
-	for i := len(items) - 1; i >= 0; i-- {
-		out = Cons(items[i], out)
+	if head == nil {
+		return dotted, nil
 	}
-	return out, nil
+	last.Cdr = dotted
+	return head, nil
 }
 
 // isDotSeparator reports whether the '.' at the current position is a
@@ -182,27 +197,52 @@ func (r *Reader) isDotSeparator() bool {
 	if r.pos+1 >= len(r.src) {
 		return true
 	}
-	nxt := r.src[r.pos+1]
-	return unicode.IsSpace(nxt) || nxt == '(' || nxt == ')' || nxt == '[' || nxt == ']'
+	c := r.src[r.pos+1]
+	if c >= utf8.RuneSelf {
+		ch, _ := utf8.DecodeRuneInString(r.src[r.pos+1:])
+		return unicode.IsSpace(ch)
+	}
+	return isSpaceByte(c) || c == '(' || c == ')' || c == '[' || c == ']'
 }
 
+// readString reads a string literal. Its text is a substring of the
+// source unless an escape or invalid UTF-8 makes it differ; from the
+// first such byte on it is built in b.
 func (r *Reader) readString() (Value, error) {
-	r.next() // opening quote
+	r.pos++ // opening quote
+	start := r.pos
 	var b strings.Builder
+	built := false
 	for {
-		ch, ok := r.next()
-		if !ok {
+		if r.pos >= len(r.src) {
 			return nil, r.errf("unterminated string")
 		}
-		switch ch {
-		case '"':
-			return Str(b.String()), nil
-		case '\\':
-			esc, ok := r.next()
-			if !ok {
+		c := r.src[r.pos]
+		switch {
+		case c == '"':
+			r.pos++
+			if built {
+				return Str(b.String()), nil
+			}
+			return Str(r.src[start : r.pos-1]), nil
+		case c == '\\':
+			if !built {
+				b.WriteString(r.src[start:r.pos])
+				built = true
+			}
+			r.pos++
+			if r.pos >= len(r.src) {
 				return nil, r.errf("unterminated escape")
 			}
+			esc, n := rune(r.src[r.pos]), 1
+			if esc >= utf8.RuneSelf {
+				esc, n = utf8.DecodeRuneInString(r.src[r.pos:])
+			}
+			r.pos += n
 			switch esc {
+			case '\n':
+				r.line++
+				b.WriteByte('\n')
 			case 'n':
 				b.WriteByte('\n')
 			case 't':
@@ -210,45 +250,92 @@ func (r *Reader) readString() (Value, error) {
 			default:
 				b.WriteRune(esc)
 			}
+		case c < utf8.RuneSelf:
+			if c == '\n' {
+				r.line++
+			}
+			r.pos++
+			if built {
+				b.WriteByte(c)
+			}
 		default:
-			b.WriteRune(ch)
+			ch, n := utf8.DecodeRuneInString(r.src[r.pos:])
+			if ch == utf8.RuneError && n == 1 && !built {
+				b.WriteString(r.src[start:r.pos])
+				built = true
+			}
+			if built {
+				b.WriteRune(ch)
+			}
+			r.pos += n
 		}
 	}
 }
 
-func isTerminator(ch rune) bool {
-	return unicode.IsSpace(ch) || ch == '(' || ch == ')' || ch == '[' ||
-		ch == ']' || ch == '"' || ch == ';' || ch == '\''
-}
-
+// readAtom reads a number or a symbol. Only a token that starts with a
+// digit, or with a sign or a dot and goes on, can read as a number, so
+// no other token is handed to strconv.
 func (r *Reader) readAtom() (Value, error) {
-	var b strings.Builder
-	for {
-		ch, ok := r.peek()
-		if !ok || isTerminator(ch) {
+	start := r.pos
+	valid := true
+	for r.pos < len(r.src) {
+		c := r.src[r.pos]
+		if c < utf8.RuneSelf {
+			if delim[c] {
+				break
+			}
+			r.pos++
+			continue
+		}
+		ch, n := utf8.DecodeRuneInString(r.src[r.pos:])
+		if unicode.IsSpace(ch) {
 			break
 		}
-		b.WriteRune(ch)
-		r.next()
+		if ch == utf8.RuneError && n == 1 {
+			valid = false
+		}
+		r.pos += n
 	}
-	tok := b.String()
-	if tok == "" {
+	tok := r.src[start:r.pos]
+	if !valid {
+		var b strings.Builder
+		for _, ch := range tok { // each invalid byte becomes U+FFFD
+			b.WriteRune(ch)
+		}
+		tok = b.String()
+	}
+	switch tok {
+	case "":
 		return nil, r.errf("empty token")
-	}
-	if tok == "." {
+	case ".":
 		return nil, r.errf("lone dot is not a datum")
-	}
-	if tok == "nil" || tok == "NIL" {
+	case "nil", "NIL":
 		return nil, nil
 	}
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return Int(i), nil
-	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil &&
-		strings.ContainsAny(tok, ".eE") && !strings.ContainsAny(tok, "abcdfghijklmnopqrstuvwxyz") {
-		return Float(f), nil
+	if numberLike(tok) {
+		// ParseInt accepts no '.', 'e' or 'E', and a float needs one.
+		if strings.ContainsAny(tok, ".eE") {
+			if f, err := strconv.ParseFloat(tok, 64); err == nil &&
+				!strings.ContainsAny(tok, "abcdfghijklmnopqrstuvwxyz") {
+				return Float(f), nil
+			}
+		} else if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			return Int(i), nil
+		}
 	}
 	return Symbol(tok), nil
+}
+
+// numberLike reports whether tok can read as a number: it starts with a
+// digit, or with '+', '-' or '.' followed by more.
+func numberLike(tok string) bool {
+	switch c := tok[0]; {
+	case '0' <= c && c <= '9':
+		return true
+	case c == '+' || c == '-' || c == '.':
+		return len(tok) > 1
+	}
+	return false
 }
 
 // Parse reads a single s-expression from src, requiring that nothing but

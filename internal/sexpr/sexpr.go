@@ -11,7 +11,7 @@
 package sexpr
 
 import (
-	"fmt"
+	"errors"
 	"strconv"
 	"strings"
 )
@@ -44,7 +44,7 @@ type Cell struct {
 }
 
 func (s Symbol) write(b *strings.Builder) { b.WriteString(string(s)) }
-func (i Int) write(b *strings.Builder)    { fmt.Fprintf(b, "%d", int64(i)) }
+func (i Int) write(b *strings.Builder)    { b.WriteString(strconv.FormatInt(int64(i), 10)) }
 
 func (f Float) write(b *strings.Builder) {
 	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
@@ -77,18 +77,43 @@ func (s Str) write(b *strings.Builder) {
 }
 
 func (c *Cell) write(b *strings.Builder) {
+	budget := MaxCells
+	c.writeAt(b, 0, &budget)
+}
+
+// writeAt prints the list at c, nested depth cars deep, within what is
+// left of the cell budget. Where a walk would break a bound, it prints
+// "..." instead of what is left (see Printable).
+func (c *Cell) writeAt(b *strings.Builder, depth int, budget *int) {
+	if depth >= MaxDepth {
+		b.WriteString("...")
+		return
+	}
 	b.WriteByte('(')
+	var cy Cycle[*Cell]
+	cy.Start(c)
 	for {
-		if c.Car == nil {
+		if *budget--; *budget < 0 {
+			b.WriteString("...)")
+			return
+		}
+		switch car := c.Car.(type) {
+		case nil:
 			b.WriteString("nil")
-		} else {
-			c.Car.write(b)
+		case *Cell:
+			car.writeAt(b, depth+1, budget)
+		default:
+			car.write(b)
 		}
 		switch cdr := c.Cdr.(type) {
 		case nil:
 			b.WriteByte(')')
 			return
 		case *Cell:
+			if cy.Step(cdr) {
+				b.WriteString(" ...)")
+				return
+			}
 			b.WriteByte(' ')
 			c = cdr
 		default:
@@ -101,6 +126,8 @@ func (c *Cell) write(b *strings.Builder) {
 }
 
 // String renders v in standard Lisp notation. The nil value prints as "nil".
+// A value Printable rejects prints "..." where a bound would break, so
+// String always returns.
 func String(v Value) string {
 	if v == nil {
 		return "nil"
@@ -108,6 +135,86 @@ func String(v Value) string {
 	var b strings.Builder
 	v.write(&b)
 	return b.String()
+}
+
+// Bounds on the walkers that turn structure into text or s-expressions
+// (the printer, Printable, and the SMALL machine's value conversion). A walk
+// follows cdrs in a loop and recurses only into cars, at most MaxDepth
+// deep, and visits at most MaxCells cells, a shared cell once for each
+// path to it. A list whose cdrs lead back into it is found exactly; a
+// cycle through a car meets one of the bounds.
+const (
+	MaxDepth = 10_000
+	MaxCells = 1 << 20
+)
+
+var (
+	// ErrCircular is a list whose cdrs lead back into it.
+	ErrCircular = errors.New("sexpr: circular list")
+	// ErrTooLarge is a value nested more than MaxDepth cars deep, or of
+	// more than MaxCells cells.
+	ErrTooLarge = errors.New("sexpr: list nested more than " + strconv.Itoa(MaxDepth) +
+		" deep or of more than " + strconv.Itoa(MaxCells) + " cells")
+)
+
+// Printable checks that v prints in full: it answers ErrCircular or
+// ErrTooLarge where the printer would print "...", and nil otherwise.
+func Printable(v Value) error {
+	budget := MaxCells
+	return walk(v, 0, &budget)
+}
+
+func walk(v Value, depth int, budget *int) error {
+	c, ok := v.(*Cell)
+	if !ok {
+		return nil
+	}
+	if depth >= MaxDepth {
+		return ErrTooLarge
+	}
+	var cy Cycle[*Cell]
+	cy.Start(c)
+	for {
+		if *budget--; *budget < 0 {
+			return ErrTooLarge
+		}
+		if err := walk(c.Car, depth+1, budget); err != nil {
+			return err
+		}
+		next, ok := c.Cdr.(*Cell)
+		if !ok {
+			return nil
+		}
+		if cy.Step(next) {
+			return ErrCircular
+		}
+		c = next
+	}
+}
+
+// Cycle finds a cycle along a list's cdrs with Brent's algorithm: a
+// saved position moves ahead to the current one whenever the steps
+// since it was saved reach a power of two, so a walk that comes round
+// to the saved position has gone round a cycle. It costs a compare per
+// step and no allocation. T is whatever names a cell to the walker.
+type Cycle[T comparable] struct {
+	saved       T
+	power, lamb int
+}
+
+// Start begins a walk at c.
+func (y *Cycle[T]) Start(c T) { y.saved, y.power, y.lamb = c, 1, 0 }
+
+// Step reports whether next, the cell after the current one, closes a
+// cycle.
+func (y *Cycle[T]) Step(next T) bool {
+	if next == y.saved {
+		return true
+	}
+	if y.lamb++; y.lamb == y.power {
+		y.saved, y.power, y.lamb = next, 2*y.power, 0
+	}
+	return false
 }
 
 // Cons allocates a fresh cell.
@@ -318,4 +425,26 @@ func Symbols(dst []Symbol, v Value) []Symbol {
 	default:
 		return dst
 	}
+}
+
+// Accessor parses a composite accessor name, cadr .. cddddr: a c, two
+// to four a or d letters, and an r. A longer chain is an ordinary
+// function name. The chain applies right to left: step j, counting from
+// the letter next to the r, takes the car when bit j of mask is set and
+// the cdr otherwise.
+func Accessor(name Symbol) (steps int, mask uint8, ok bool) {
+	if len(name) < 4 || len(name) > 6 || name[0] != 'c' || name[len(name)-1] != 'r' {
+		return 0, 0, false
+	}
+	mid := name[1 : len(name)-1]
+	for j := 0; j < len(mid); j++ {
+		switch mid[len(mid)-1-j] {
+		case 'a':
+			mask |= 1 << j
+		case 'd':
+		default:
+			return 0, 0, false
+		}
+	}
+	return len(mid), mask, true
 }

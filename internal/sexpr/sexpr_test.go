@@ -3,6 +3,7 @@ package sexpr
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
 	"testing"
 	"testing/quick"
 )
@@ -321,4 +322,36 @@ func TestPropertyMeasureNonNegative(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestAccessorMatchesPattern checks Accessor against the pattern the
+// engines matched with before, ^c([ad]{2,4})r$, over every name of up
+// to seven letters from c, a, d, r and x.
+func TestAccessorMatchesPattern(t *testing.T) {
+	pat := regexp.MustCompile(`^c([ad]{2,4})r$`)
+	var walk func(name string)
+	walk = func(name string) {
+		steps, mask, ok := Accessor(Symbol(name))
+		m := pat.FindStringSubmatch(name)
+		if ok != (m != nil) {
+			t.Fatalf("Accessor(%q) ok = %v, pattern match %v", name, ok, m != nil)
+		}
+		if ok {
+			var want uint8
+			for j := 0; j < len(m[1]); j++ {
+				if m[1][len(m[1])-1-j] == 'a' {
+					want |= 1 << j
+				}
+			}
+			if steps != len(m[1]) || mask != want {
+				t.Fatalf("Accessor(%q) = %d, %#b; want %d, %#b", name, steps, mask, len(m[1]), want)
+			}
+		}
+		if len(name) < 7 {
+			for _, c := range "cadrx" {
+				walk(name + string(c))
+			}
+		}
+	}
+	walk("")
 }

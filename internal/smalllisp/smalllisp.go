@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
 
 	"repro/internal/core"
 	"repro/internal/sexpr"
@@ -253,8 +252,6 @@ func (in *Interp) set(name sexpr.Symbol, val core.Value) {
 
 // --- evaluation ---
 
-var cxrPattern = regexp.MustCompile(`^c([ad]{2,4})r$`)
-
 func (in *Interp) eval(form sexpr.Value) (core.Value, error) {
 	in.steps++
 	if in.steps > in.limit {
@@ -306,7 +303,7 @@ func (in *Interp) evalCall(form *sexpr.Cell) (core.Value, error) {
 	if sf, ok := specialForms[head]; ok {
 		return sf(in, form.Cdr)
 	}
-	if m := cxrPattern.FindStringSubmatch(string(head)); m != nil {
+	if steps, mask, ok := sexpr.Accessor(head); ok {
 		args, err := in.evalArgs(form.Cdr)
 		if err != nil {
 			return core.NilValue, err
@@ -315,7 +312,7 @@ func (in *Interp) evalCall(form *sexpr.Cell) (core.Value, error) {
 			in.releaseAll(args)
 			return core.NilValue, errf(form, "%s wants 1 arg", head)
 		}
-		return in.cxr(m[1], args[0])
+		return in.cxr(steps, mask, args[0])
 	}
 	if p, ok := primitives[head]; ok {
 		args, err := in.evalArgs(form.Cdr)
@@ -396,13 +393,14 @@ func (in *Interp) applyFn(fn *function, args []core.Value) (core.Value, error) {
 	return ret, nil
 }
 
-// cxr applies a chain of car/cdr steps, releasing intermediates.
-func (in *Interp) cxr(ops string, v core.Value) (core.Value, error) {
+// cxr applies a composite accessor (see sexpr.Accessor), releasing
+// intermediates.
+func (in *Interp) cxr(steps int, mask uint8, v core.Value) (core.Value, error) {
 	cur := v
-	for i := len(ops) - 1; i >= 0; i-- {
+	for j := 0; j < steps; j++ {
 		var next core.Value
 		var err error
-		if ops[i] == 'a' {
+		if mask>>j&1 == 1 {
 			next, err = in.m.Car(cur)
 		} else {
 			next, err = in.m.Cdr(cur)

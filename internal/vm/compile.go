@@ -44,7 +44,7 @@ func vmBuiltin(head sexpr.Symbol) bool {
 	_, bin := binOps[head]
 	_, eq := eqModes[head]
 	_, nary := naryOps[head]
-	_, _, cxr := cxrName(head)
+	_, _, cxr := sexpr.Accessor(head)
 	return un || bin || eq || nary || cxr
 }
 
@@ -542,7 +542,7 @@ func (fc *fnCompiler) call(f *sexpr.Cell, tail bool) error {
 		fc.emit(Instr{Op: OpPutprop})
 		return nil
 	}
-	if steps, mask, ok := cxrName(head); ok {
+	if steps, mask, ok := sexpr.Accessor(head); ok {
 		if len(args) != 1 {
 			return cerrf(f, "%s wants one argument", head)
 		}
@@ -573,29 +573,6 @@ func (fc *fnCompiler) call(f *sexpr.Cell, tail bool) error {
 	}
 	fc.emit(Instr{Op: OpFCall, Sym: string(head), Arg: int64(len(args))})
 	return nil
-}
-
-// cxrName recognises composite accessors (cadr .. cddddr): a leading c,
-// a trailing r, and 2-4 a/d letters between, the interpreter's range (a
-// longer name is an ordinary function name there). The returned
-// mask/steps follow the OpCxr encoding: step j (low bit first) is the
-// j-th letter from the right, bit set for car.
-func cxrName(head sexpr.Symbol) (steps int, mask uint8, ok bool) {
-	s := string(head)
-	if len(s) < 4 || len(s) > 6 || s[0] != 'c' || s[len(s)-1] != 'r' {
-		return 0, 0, false
-	}
-	mid := s[1 : len(s)-1]
-	for j := 0; j < len(mid); j++ {
-		switch mid[len(mid)-1-j] {
-		case 'a':
-			mask |= 1 << j
-		case 'd':
-		default:
-			return 0, 0, false
-		}
-	}
-	return len(mid), mask, true
 }
 
 // quoted compiles a literal: atoms push immediates; lists are built with

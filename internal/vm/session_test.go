@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -282,5 +283,35 @@ func TestSessionSitesBounded(t *testing.T) {
 	}
 	if n := len(s.l.sites); n != 0 {
 		t.Errorf("%d callees listed after 1000 evals calling new names, want 0", n)
+	}
+}
+
+// TestSessionCircularValue: a circular value, as an eval's result, a
+// print argument or a number operand, is an error rather than an
+// unbounded recursion, and the session stays usable. A cycle along the
+// cdrs is found as such; one through a car meets the nesting bound.
+func TestSessionCircularValue(t *testing.T) {
+	var out strings.Builder
+	s := NewSession(WithMachine(core.NewMachine(core.Config{})), WithOutput(&out))
+	mustRun(t, s, "(setq x (list 1 2)) (setq y (list 3 4))")
+	for _, c := range []struct {
+		src  string
+		want error
+	}{
+		{"(rplacd (cdr x) x)", sexpr.ErrCircular},
+		{"x", sexpr.ErrCircular},
+		{"(print x)", sexpr.ErrCircular},
+		{"(add1 x)", sexpr.ErrCircular},
+		{"(rplaca y y)", sexpr.ErrTooLarge},
+	} {
+		if _, err := s.Run(c.src); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.src, err, c.want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("print of a circular list printed %q", out.String())
+	}
+	if got := mustRun(t, s, "(list (car x) (cadr x) (car (cddr x)) (cadr y))"); got != "(1 2 1 4)" {
+		t.Errorf("after circular values: %s", got)
 	}
 }

@@ -177,7 +177,10 @@ func (v *VM) intArg(x Value) (int64, error) {
 	if x.Kind == KInt {
 		return x.I, nil
 	}
-	sv, _ := v.sexprOf(x)
+	sv, err := v.sexprOf(x)
+	if err != nil {
+		return 0, err
+	}
 	return 0, fmt.Errorf("vm: not a number: %s", sexpr.String(sv))
 }
 

@@ -86,9 +86,6 @@ type vframe struct {
 	names    []string
 }
 
-// ErrHalt signals normal termination (internal).
-var errHalted = errors.New("vm: halted")
-
 // ErrStepLimit is returned when execution exceeds the step budget.
 var ErrStepLimit = errors.New("vm: step limit exceeded")
 
@@ -220,13 +217,31 @@ func (v *VM) Reset(prog *Program, m *core.Machine) {
 
 func (v *VM) push(x Value) { v.stack = append(v.stack, x) }
 
-func (v *VM) pop() (Value, error) {
-	if len(v.stack) == 0 {
-		return nilV, errors.New("vm: stack underflow")
+// errUnderflow is an instruction finding fewer operands on the stack
+// than it takes.
+var errUnderflow = errors.New("vm: stack underflow")
+
+// pop removes and returns TOS; ok is false when the stack is empty.
+func (v *VM) pop() (x Value, ok bool) {
+	n := len(v.stack)
+	if n == 0 {
+		return nilV, false
 	}
-	x := v.stack[len(v.stack)-1]
-	v.stack = v.stack[:len(v.stack)-1]
-	return x, nil
+	x = v.stack[n-1]
+	v.stack = v.stack[:n-1]
+	return x, true
+}
+
+// pop2 removes and returns the top two operands, b the top one; ok is
+// false, and nothing is removed, when there are fewer than two.
+func (v *VM) pop2() (a, b Value, ok bool) {
+	n := len(v.stack)
+	if n < 2 {
+		return nilV, nilV, false
+	}
+	a, b = v.stack[n-2], v.stack[n-1]
+	v.stack = v.stack[:n-2]
+	return a, b, true
 }
 
 // pushFrame activates a new frame, reusing slot arrays left in place by
@@ -277,6 +292,15 @@ func (v *VM) unwindToGlobal() {
 // Run executes the program and returns the final value as an
 // s-expression. Global bindings made by top-level setq survive in the
 // VM (frame 0), so repeated Runs behave like successive session evals.
+//
+// One loop dispatches every instruction, with the pc, the instruction,
+// the current frame and the step count in locals. The frame is re-read
+// only after FCALL and FRETN, the two instructions that change it, and
+// the count is stored back at every exit. The code slice is held for
+// the whole Run: OpLink repoints call targets in place, and a Session
+// truncates or compacts its code only between Runs. A jump sets pc and
+// continues; every error breaks out to the one exit below the loop,
+// which wraps it with the failing pc and unwinds.
 func (v *VM) Run() (sexpr.Value, error) {
 	if len(v.frames) == 0 {
 		v.pushFrame(-1, 0, 0, "") // globals
@@ -285,49 +309,672 @@ func (v *VM) Run() (sexpr.Value, error) {
 	// own, dropped when the run ends; frame 0 holds only globals.
 	v.pushFrame(-1, len(v.stack), 0, "")
 	v.depth = 0
+	code := v.prog.Code
+	f := &v.frames[len(v.frames)-1]
 	pc := v.prog.Entry
+	steps, limit, done := v.steps, v.limit, v.ctxDone
+	var err error
 	for {
-		v.steps++
-		if v.steps > v.limit {
+		steps++
+		if steps > limit {
+			v.steps = steps
 			v.unwindToGlobal()
 			return nil, ErrStepLimit
 		}
-		if v.ctxDone != nil && v.steps&1023 == 0 {
+		if done != nil && steps&1023 == 0 {
 			select {
-			case <-v.ctxDone:
+			case <-done:
+				v.steps = steps
 				v.unwindToGlobal()
 				return nil, fmt.Errorf("vm: execution cancelled: %w", v.ctxErr())
 			default:
 			}
 		}
-		if pc < 0 || pc >= len(v.prog.Code) {
+		if uint(pc) >= uint(len(code)) {
+			v.steps = steps
 			v.unwindToGlobal()
 			return nil, fmt.Errorf("vm: pc %d out of range", pc)
 		}
-		next, err := v.step(pc)
-		if err == errHalted {
-			top, perr := v.pop()
-			if perr != nil {
-				v.unwindToGlobal()
-				return nil, perr
+		ins := &code[pc]
+		switch ins.Op {
+		case OpBindN:
+			var val Value
+			if f.argIdx < f.npending {
+				val = v.stack[f.pbase+f.argIdx]
+				f.argIdx++
 			}
+			off := int(ins.Arg) - 1
+			for len(f.vars) < off { // slots of a branch that did not run
+				f.vars = append(f.vars, nilV)
+				f.names = append(f.names, "")
+			}
+			if off < len(f.vars) { // a let or prog in a loop binds again
+				v.release(f.vars[off])
+				f.vars[off], f.names[off] = val, ins.Sym
+			} else {
+				f.vars = append(f.vars, val)
+				f.names = append(f.names, ins.Sym)
+			}
+
+		case OpUnbind:
+			for i := int(ins.Arg) - 1; i < len(f.names); i++ {
+				f.names[i] = ""
+			}
+
+		case OpPushStk:
+			off := int(ins.Arg) - 1
+			if off < 0 || off >= len(f.vars) {
+				err = fmt.Errorf("bad frame offset %d", ins.Arg)
+				break
+			}
+			val := f.vars[off]
+			v.retain(val)
+			v.push(val)
+
+		case OpPushName:
+			val, ok := v.lookupName(ins.Sym)
+			if !ok {
+				err = fmt.Errorf("unbound variable %s", ins.Sym)
+				break
+			}
+			v.retain(val)
+			v.push(val)
+
+		case OpPushSym:
+			if ins.Sym != "" {
+				switch ins.Sym {
+				case "t":
+					v.push(trueV)
+				case "nil":
+					v.push(nilV)
+				default:
+					v.push(Value{Kind: KAtom, W: v.symWord(pc, ins.Sym)})
+				}
+			} else {
+				v.push(intV(ins.Arg))
+			}
+
+		case OpSetq:
+			off := int(ins.Arg) - 1
+			if off < 0 || off >= len(f.vars) {
+				err = fmt.Errorf("bad frame offset %d", ins.Arg)
+				break
+			}
+			if len(v.stack) == 0 {
+				err = errUnderflow
+				break
+			}
+			top := v.stack[len(v.stack)-1]
+			v.retain(top)
+			v.release(f.vars[off])
+			f.vars[off] = top
+
+		case OpSetqPop:
+			off := int(ins.Arg) - 1
+			if off < 0 || off >= len(f.vars) {
+				err = fmt.Errorf("bad frame offset %d", ins.Arg)
+				break
+			}
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			// The operand's stack reference transfers to the frame slot.
+			v.release(f.vars[off])
+			f.vars[off] = x
+
+		case OpSetName:
+			if len(v.stack) == 0 {
+				err = errUnderflow
+				break
+			}
+			top := v.stack[len(v.stack)-1]
+			if !v.setName(ins.Sym, top) {
+				// setq of unbound name: create a top-level binding.
+				g := &v.frames[0]
+				v.retain(top)
+				g.vars = append(g.vars, top)
+				g.names = append(g.names, ins.Sym)
+			}
+
+		case OpPop:
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			v.release(x)
+
+		case OpDup:
+			if len(v.stack) == 0 {
+				err = errUnderflow
+				break
+			}
+			top := v.stack[len(v.stack)-1]
+			v.retain(top)
+			v.push(top)
+
+		case OpFCall:
+			n := int(ins.Arg)
+			if len(v.stack) < n {
+				err = errors.New("missing arguments")
+				break
+			}
+			v.depth++
+			if v.sink != nil {
+				v.sink.Enter(ins.Sym, n, v.depth)
+			}
+			v.pushFrame(pc+1, len(v.stack)-n, n, ins.Sym)
+			f = &v.frames[len(v.frames)-1]
+			pc = int(ins.Target)
+			continue
+
+		case OpFRetn:
+			if f.ret < 0 {
+				err = errors.New("return from top level")
+				break
+			}
+			result, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			for _, val := range f.vars {
+				v.release(val)
+			}
+			for i := f.pbase + f.argIdx; i < f.pbase+f.npending; i++ {
+				v.release(v.stack[i])
+			}
+			// Mid-expression (return ...) can leave extra temporaries above
+			// the arguments; release them too.
+			for i := f.pbase + f.npending; i < len(v.stack); i++ {
+				v.release(v.stack[i])
+			}
+			if v.sink != nil {
+				v.sink.Exit(f.fname, v.depth)
+			}
+			v.depth--
+			pc = f.ret
+			v.stack = v.stack[:f.pbase]
+			v.push(result)
+			v.frames = v.frames[:len(v.frames)-1]
+			f = &v.frames[len(v.frames)-1]
+			continue
+
+		case OpJump:
+			pc = int(ins.Target)
+			continue
+
+		case OpBrNil:
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			v.release(x)
+			if !truthy(x) {
+				pc = int(ins.Target)
+				continue
+			}
+
+		case OpNEqualP:
+			a, b, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var eq bool
+			eq, err = v.equality(ins.Arg, a, b)
+			v.release(a)
+			v.release(b)
+			if err == nil && !eq {
+				pc = int(ins.Target)
+				continue
+			}
+
+		case OpAdd, OpSub, OpMul, OpDiv, OpRem:
+			a, b, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var x, y int64
+			if x, err = v.intArg(a); err == nil {
+				y, err = v.intArg(b)
+			}
+			if err != nil {
+				v.release(a)
+				v.release(b)
+				break
+			}
+			var r int64
+			switch ins.Op {
+			case OpAdd:
+				r = x + y
+			case OpSub:
+				r = x - y
+			case OpMul:
+				r = x * y
+			case OpDiv, OpRem:
+				if y == 0 {
+					err = errors.New("division by zero")
+				} else if ins.Op == OpDiv {
+					r = x / y
+				} else {
+					r = x % y
+				}
+			}
+			if err == nil {
+				v.push(intV(r))
+			}
+
+		case OpAddImm, OpSubImm, OpAdd1, OpSub1, OpZeroP:
+			a, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var x int64
+			if x, err = v.intArg(a); err != nil {
+				v.release(a)
+				break
+			}
+			switch ins.Op {
+			case OpAddImm:
+				v.push(intV(x + ins.Arg))
+			case OpSubImm:
+				v.push(intV(x - ins.Arg))
+			case OpAdd1:
+				v.push(intV(x + 1))
+			case OpSub1:
+				v.push(intV(x - 1))
+			default:
+				v.push(boolV(x == 0))
+			}
+
+		case OpCar, OpCdr:
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var res Value
+			res, err = v.access1(x, ins.Op == OpCar)
+			v.release(x)
+			if err == nil {
+				v.push(res)
+			}
+
+		case OpCarStk, OpCdrStk:
+			off := int(ins.Arg) - 1
+			if off < 0 || off >= len(f.vars) {
+				err = fmt.Errorf("bad frame offset %d", ins.Arg)
+				break
+			}
+			// The frame keeps its reference on the variable; no stack
+			// round-trip for the operand.
+			var res Value
+			if res, err = v.access1(f.vars[off], ins.Op == OpCarStk); err == nil {
+				v.push(res)
+			}
+
+		case OpCadr, OpCaddr, OpCxr:
+			var steps int
+			var mask uint8
+			switch ins.Op {
+			case OpCadr:
+				steps, mask = 2, 0b10
+			case OpCaddr:
+				steps, mask = 3, 0b100
+			default:
+				steps, mask = cxrSteps(ins.Arg)
+			}
+			cur, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			for j := 0; j < steps; j++ {
+				var res Value
+				res, err = v.access1(cur, mask>>j&1 == 1)
+				v.release(cur)
+				if err != nil {
+					break
+				}
+				cur = res
+			}
+			if err == nil {
+				v.push(cur)
+			}
+
+		case OpCons, OpConsQ:
+			car, cdr, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var res Value
+			res, err = v.cons1(car, cdr, ins.Op == OpConsQ)
+			v.release(car)
+			v.release(cdr)
+			if err == nil {
+				v.push(res)
+			}
+
+		case OpList:
+			n := int(ins.Arg)
+			if len(v.stack) < n {
+				err = errors.New("missing arguments")
+				break
+			}
+			base := len(v.stack) - n
+			out := nilV
+			for i := len(v.stack) - 1; i >= base; i-- {
+				elem := v.stack[i]
+				var res Value
+				res, err = v.cons1(elem, out, false)
+				if err != nil {
+					break
+				}
+				v.release(elem)
+				v.release(out)
+				v.stack[i] = nilV // consumed
+				out = res
+			}
+			v.stack = v.stack[:base]
+			if err != nil {
+				v.release(out)
+				break
+			}
+			v.push(out)
+
+		case OpLength:
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			n := int64(0)
+			cur := x
+			for isListKind(cur) {
+				var next Value
+				next, err = v.access1(cur, false)
+				if err != nil {
+					break
+				}
+				v.release(cur)
+				cur = next
+				n++
+			}
+			v.release(cur)
+			if err == nil {
+				v.push(intV(n))
+			}
+
+		case OpRplaca, OpRplacd:
+			target, val, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			if ins.Op == OpRplaca {
+				err = v.m.Rplaca(v.toCore(target), v.toCore(val))
+			} else {
+				err = v.m.Rplacd(v.toCore(target), v.toCore(val))
+			}
+			if err != nil {
+				v.release(val)
+				v.release(target)
+				break
+			}
+			if v.sink != nil {
+				// Arguments render after the mutation, as the interpreter's
+				// rplaca/rplacd trace does.
+				op := "rplacd"
+				if ins.Op == OpRplaca {
+					op = "rplaca"
+				}
+				if v.tsink != nil {
+					v.tsink.PrimText(op, []string{v.renderText(target), v.renderText(val)}, v.renderText(target), v.depth)
+				} else {
+					v.sink.Prim(op, []sexpr.Value{v.sx(target), v.sx(val)}, v.sx(target), v.depth)
+				}
+			}
+			v.release(val)
+			// rplac returns the modified object: keep target on the stack.
+			v.push(target)
+
+		case OpAtomP, OpNullP, OpNot:
+			x, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			v.release(x)
+			if ins.Op == OpAtomP {
+				v.push(boolV(!isListKind(x)))
+			} else {
+				v.push(boolV(x.Kind == KNil))
+			}
+
+		case OpEqualP:
+			a, b, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var eq bool
+			eq, err = v.equality(ins.Arg, a, b)
+			v.release(a)
+			v.release(b)
+			if err == nil {
+				v.push(boolV(eq))
+			}
+
+		case OpGreaterP, OpLessP, OpGeq, OpLeq:
+			a, b, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var x, y int64
+			if x, err = v.intArg(a); err == nil {
+				y, err = v.intArg(b)
+			}
+			if err != nil {
+				v.release(a)
+				v.release(b)
+				break
+			}
+			// The interpreter compares numbers as float64s.
+			fx, fy := float64(x), float64(y)
+			var res bool
+			switch ins.Op {
+			case OpGreaterP:
+				res = fx > fy
+			case OpLessP:
+				res = fx < fy
+			case OpGeq:
+				res = fx >= fy
+			case OpLeq:
+				res = fx <= fy
+			}
+			v.push(boolV(res))
+
+		case OpMax, OpMin:
+			n := int(ins.Arg)
+			if n < 1 || len(v.stack) < n {
+				err = errors.New("missing arguments")
+				break
+			}
+			base := len(v.stack) - n
+			var best int64
+			if best, err = v.intArg(v.stack[base]); err == nil {
+				for i := base + 1; i < len(v.stack); i++ {
+					var x int64
+					if x, err = v.intArg(v.stack[i]); err != nil {
+						break
+					}
+					if (ins.Op == OpMax && x > best) || (ins.Op == OpMin && x < best) {
+						best = x
+					}
+				}
+			}
+			for i := base; i < len(v.stack); i++ {
+				v.release(v.stack[i])
+			}
+			v.stack = v.stack[:base]
+			if err == nil {
+				v.push(intV(best))
+			}
+
+		case OpGet:
+			s, p, ok := v.pop2()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			var sk, pk int32
+			if sk, err = v.symKey(s); err == nil {
+				if pk, err = v.symKey(p); err == nil {
+					val := v.props[sk][pk]
+					v.retain(val)
+					v.push(val)
+				}
+			}
+			v.release(s)
+			v.release(p)
+
+		case OpPutprop:
+			n := len(v.stack)
+			if n < 3 {
+				err = errUnderflow
+				break
+			}
+			s, val, p := v.stack[n-3], v.stack[n-2], v.stack[n-1]
+			v.stack = v.stack[:n-3]
+			if err = v.putprop(s, val, p); err != nil {
+				v.release(val)
+			}
+			v.release(s)
+			v.release(p)
+			if err != nil {
+				break
+			}
+			// putprop returns the stored value; the stack's original
+			// reference carries it.
+			v.push(val)
+
+		case OpRdList:
+			off := int(ins.Arg) - 1
+			if off < 0 || off >= len(f.vars) {
+				err = fmt.Errorf("bad frame offset %d", ins.Arg)
+				break
+			}
+			if len(v.input) == 0 {
+				// As the interpreter's read: nil, and nothing is bound.
+				v.push(nilV)
+				break
+			}
+			datum := v.input[0]
+			v.input = v.input[1:]
+			var val core.Value
+			if val, err = v.m.ReadList(datum, v.toCore(f.vars[off])); err != nil {
+				break
+			}
+			f.vars[off] = v.fromCore(val)
+			if v.sink != nil {
+				v.sink.Prim("read", nil, datum, v.depth)
+			}
+			v.retain(f.vars[off])
+			v.push(f.vars[off])
+
+		case OpWrList:
+			// Prints TOS, which stays as the value: print returns its argument.
+			if len(v.stack) == 0 {
+				err = errUnderflow
+				break
+			}
+			var sv sexpr.Value
+			if sv, err = v.sexprOf(v.stack[len(v.stack)-1]); err == nil {
+				_, err = fmt.Fprintln(v.out, sexpr.String(sv))
+			}
+
+		case OpHalt:
+			top, ok := v.pop()
+			if !ok {
+				err = errUnderflow
+				break
+			}
+			v.steps = steps
 			sv, verr := v.sexprOf(top)
 			v.release(top)
 			v.unwindToGlobal()
 			return sv, verr
+
+		case OpFGuard:
+			if _, ok := v.prog.Funcs[ins.Sym]; !ok {
+				err = &callError{"undefined function " + ins.Sym}
+			}
+
+		case OpLink:
+			group := v.ln.groups[ins.Arg]
+			for _, fn := range group {
+				v.ln.bind(fn)
+			}
+			v.push(Value{Kind: KAtom, W: v.symWord(pc, ins.Sym)})
+
+		case OpUndef:
+			err = &callError{"undefined function " + f.fname}
+
+		case OpArity:
+			err = &callError{fmt.Sprintf("%s called with %d args, wants %d",
+				f.fname, f.npending, v.prog.Funcs[f.fname].NArgs)}
+
+		default:
+			err = fmt.Errorf("unknown opcode %d", ins.Op)
 		}
 		if err != nil {
-			if _, ok := err.(*callError); !ok {
-				err = fmt.Errorf("vm: pc %d (%s): %w", pc, v.prog.Code[pc], err)
-			}
-			v.unwindToGlobal()
-			return nil, err
+			break
 		}
-		pc = next
+		pc++
 	}
+	v.steps = steps
+	if _, ok := err.(*callError); !ok {
+		err = fmt.Errorf("vm: pc %d (%s): %w", pc, code[pc], err)
+	}
+	v.unwindToGlobal()
+	return nil, err
 }
 
-func (v *VM) frame() *vframe { return &v.frames[len(v.frames)-1] }
+// putprop stores val under (s, p) in the property lists, which take a
+// reference of their own on it.
+func (v *VM) putprop(s, val, p Value) error {
+	sk, serr := v.symKey(s)
+	pk, perr := v.symKey(p)
+	if serr != nil {
+		return serr
+	}
+	if perr != nil {
+		return perr
+	}
+	if v.props == nil {
+		v.props = make(map[int32]map[int32]Value)
+	}
+	plist := v.props[sk]
+	if plist == nil {
+		plist = make(map[int32]Value)
+		v.props[sk] = plist
+	}
+	old, existed := plist[pk]
+	v.retain(val)
+	plist[pk] = val
+	if existed {
+		v.release(old)
+	}
+	return nil
+}
 
 // access1 performs one traced car/cdr step on the machine. The caller
 // owns x and the returned value. As in the interpreter, the car and cdr
@@ -376,652 +1023,6 @@ func (v *VM) cons1(car, cdr Value, quiet bool) (Value, error) {
 		}
 	}
 	return res, nil
-}
-
-// step executes one instruction, returning the next pc.
-func (v *VM) step(pc int) (int, error) {
-	ins := v.prog.Code[pc]
-	f := v.frame()
-	switch ins.Op {
-	case OpBindN:
-		var val Value
-		if f.argIdx < f.npending {
-			val = v.stack[f.pbase+f.argIdx]
-			f.argIdx++
-		}
-		off := int(ins.Arg) - 1
-		for len(f.vars) < off { // slots of a branch that did not run
-			f.vars = append(f.vars, nilV)
-			f.names = append(f.names, "")
-		}
-		if off < len(f.vars) { // a let or prog in a loop binds again
-			v.release(f.vars[off])
-			f.vars[off], f.names[off] = val, ins.Sym
-		} else {
-			f.vars = append(f.vars, val)
-			f.names = append(f.names, ins.Sym)
-		}
-
-	case OpUnbind:
-		for i := int(ins.Arg) - 1; i < len(f.names); i++ {
-			f.names[i] = ""
-		}
-
-	case OpPushStk:
-		off := int(ins.Arg) - 1
-		if off < 0 || off >= len(f.vars) {
-			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
-		}
-		val := f.vars[off]
-		v.retain(val)
-		v.push(val)
-
-	case OpPushName:
-		val, ok := v.lookupName(ins.Sym)
-		if !ok {
-			return 0, fmt.Errorf("unbound variable %s", ins.Sym)
-		}
-		v.retain(val)
-		v.push(val)
-
-	case OpPushSym:
-		if ins.Sym != "" {
-			switch ins.Sym {
-			case "t":
-				v.push(trueV)
-			case "nil":
-				v.push(nilV)
-			default:
-				v.push(Value{Kind: KAtom, W: v.symWord(pc, ins.Sym)})
-			}
-		} else {
-			v.push(intV(ins.Arg))
-		}
-
-	case OpSetq:
-		off := int(ins.Arg) - 1
-		if off < 0 || off >= len(f.vars) {
-			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
-		}
-		top := v.stack[len(v.stack)-1]
-		v.retain(top)
-		v.release(f.vars[off])
-		f.vars[off] = top
-
-	case OpSetqPop:
-		off := int(ins.Arg) - 1
-		if off < 0 || off >= len(f.vars) {
-			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
-		}
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		// The operand's stack reference transfers to the frame slot.
-		v.release(f.vars[off])
-		f.vars[off] = x
-
-	case OpSetName:
-		top := v.stack[len(v.stack)-1]
-		if !v.setName(ins.Sym, top) {
-			// setq of unbound name: create a top-level binding.
-			g := &v.frames[0]
-			v.retain(top)
-			g.vars = append(g.vars, top)
-			g.names = append(g.names, ins.Sym)
-		}
-
-	case OpPop:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		v.release(x)
-
-	case OpDup:
-		top := v.stack[len(v.stack)-1]
-		v.retain(top)
-		v.push(top)
-
-	case OpFCall:
-		n := int(ins.Arg)
-		if len(v.stack) < n {
-			return 0, errors.New("missing arguments")
-		}
-		v.depth++
-		if v.sink != nil {
-			v.sink.Enter(ins.Sym, n, v.depth)
-		}
-		v.pushFrame(pc+1, len(v.stack)-n, n, ins.Sym)
-		return int(ins.Target), nil
-
-	case OpFRetn:
-		if f.ret < 0 {
-			return 0, errors.New("return from top level")
-		}
-		result, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		for _, val := range f.vars {
-			v.release(val)
-		}
-		for i := f.pbase + f.argIdx; i < f.pbase+f.npending; i++ {
-			v.release(v.stack[i])
-		}
-		// Mid-expression (return ...) can leave extra temporaries above
-		// the arguments; release them too.
-		for i := f.pbase + f.npending; i < len(v.stack); i++ {
-			v.release(v.stack[i])
-		}
-		if v.sink != nil {
-			v.sink.Exit(f.fname, v.depth)
-		}
-		v.depth--
-		ret := f.ret
-		v.stack = v.stack[:f.pbase]
-		v.push(result)
-		v.frames = v.frames[:len(v.frames)-1]
-		return ret, nil
-
-	case OpJump:
-		return int(ins.Target), nil
-
-	case OpBrNil:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		isNil := !truthy(x)
-		v.release(x)
-		if isNil {
-			return int(ins.Target), nil
-		}
-
-	case OpNEqualP:
-		b, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		eq, err := v.equality(ins.Arg, a, b)
-		v.release(a)
-		v.release(b)
-		if err != nil {
-			return 0, err
-		}
-		if !eq {
-			return int(ins.Target), nil
-		}
-
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem:
-		b, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		x, err := v.intArg(a)
-		if err != nil {
-			v.release(a)
-			v.release(b)
-			return 0, err
-		}
-		y, err := v.intArg(b)
-		if err != nil {
-			v.release(a)
-			v.release(b)
-			return 0, err
-		}
-		var r int64
-		switch ins.Op {
-		case OpAdd:
-			r = x + y
-		case OpSub:
-			r = x - y
-		case OpMul:
-			r = x * y
-		case OpDiv:
-			if y == 0 {
-				return 0, errors.New("division by zero")
-			}
-			r = x / y
-		case OpRem:
-			if y == 0 {
-				return 0, errors.New("division by zero")
-			}
-			r = x % y
-		}
-		v.push(intV(r))
-
-	case OpAddImm, OpSubImm:
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		x, err := v.intArg(a)
-		if err != nil {
-			v.release(a)
-			return 0, err
-		}
-		if ins.Op == OpAddImm {
-			v.push(intV(x + ins.Arg))
-		} else {
-			v.push(intV(x - ins.Arg))
-		}
-
-	case OpAdd1, OpSub1:
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		x, err := v.intArg(a)
-		if err != nil {
-			v.release(a)
-			return 0, err
-		}
-		if ins.Op == OpAdd1 {
-			v.push(intV(x + 1))
-		} else {
-			v.push(intV(x - 1))
-		}
-
-	case OpZeroP:
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		x, err := v.intArg(a)
-		if err != nil {
-			v.release(a)
-			return 0, err
-		}
-		v.push(boolV(x == 0))
-
-	case OpCar, OpCdr:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		res, err := v.access1(x, ins.Op == OpCar)
-		if err != nil {
-			v.release(x)
-			return 0, err
-		}
-		v.release(x)
-		v.push(res)
-
-	case OpCarStk, OpCdrStk:
-		off := int(ins.Arg) - 1
-		if off < 0 || off >= len(f.vars) {
-			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
-		}
-		// The frame keeps its reference on the variable; no stack
-		// round-trip for the operand.
-		res, err := v.access1(f.vars[off], ins.Op == OpCarStk)
-		if err != nil {
-			return 0, err
-		}
-		v.push(res)
-
-	case OpCadr, OpCaddr, OpCxr:
-		var steps int
-		var mask uint8
-		switch ins.Op {
-		case OpCadr:
-			steps, mask = 2, 0b10
-		case OpCaddr:
-			steps, mask = 3, 0b100
-		default:
-			steps, mask = cxrSteps(ins.Arg)
-		}
-		cur, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		for j := 0; j < steps; j++ {
-			res, err := v.access1(cur, mask>>j&1 == 1)
-			if err != nil {
-				v.release(cur)
-				return 0, err
-			}
-			v.release(cur)
-			cur = res
-		}
-		v.push(cur)
-
-	case OpCons, OpConsQ:
-		cdr, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		car, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		res, err := v.cons1(car, cdr, ins.Op == OpConsQ)
-		if err != nil {
-			v.release(car)
-			v.release(cdr)
-			return 0, err
-		}
-		v.release(car)
-		v.release(cdr)
-		v.push(res)
-
-	case OpList:
-		n := int(ins.Arg)
-		if len(v.stack) < n {
-			return 0, errors.New("missing arguments")
-		}
-		base := len(v.stack) - n
-		out := nilV
-		var err error
-		for i := len(v.stack) - 1; i >= base; i-- {
-			elem := v.stack[i]
-			var res Value
-			res, err = v.cons1(elem, out, false)
-			if err != nil {
-				break
-			}
-			v.release(elem)
-			v.release(out)
-			v.stack[i] = nilV // consumed
-			out = res
-		}
-		v.stack = v.stack[:base]
-		if err != nil {
-			v.release(out)
-			return 0, err
-		}
-		v.push(out)
-
-	case OpLength:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		n := int64(0)
-		cur := x
-		for isListKind(cur) {
-			next, err := v.access1(cur, false)
-			if err != nil {
-				v.release(cur)
-				return 0, err
-			}
-			v.release(cur)
-			cur = next
-			n++
-		}
-		v.release(cur)
-		v.push(intV(n))
-
-	case OpRplaca, OpRplacd:
-		val, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		target, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		if ins.Op == OpRplaca {
-			err = v.m.Rplaca(v.toCore(target), v.toCore(val))
-		} else {
-			err = v.m.Rplacd(v.toCore(target), v.toCore(val))
-		}
-		if err != nil {
-			v.release(val)
-			v.release(target)
-			return 0, err
-		}
-		if v.sink != nil {
-			// Arguments render after the mutation, as the interpreter's
-			// rplaca/rplacd trace does.
-			op := "rplacd"
-			if ins.Op == OpRplaca {
-				op = "rplaca"
-			}
-			if v.tsink != nil {
-				v.tsink.PrimText(op, []string{v.renderText(target), v.renderText(val)}, v.renderText(target), v.depth)
-			} else {
-				v.sink.Prim(op, []sexpr.Value{v.sx(target), v.sx(val)}, v.sx(target), v.depth)
-			}
-		}
-		v.release(val)
-		// rplac returns the modified object: keep target on the stack.
-		v.push(target)
-
-	case OpAtomP, OpNullP, OpNot:
-		x, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		var res bool
-		switch ins.Op {
-		case OpAtomP:
-			res = !isListKind(x)
-		case OpNullP, OpNot:
-			res = x.Kind == KNil
-		}
-		v.release(x)
-		v.push(boolV(res))
-
-	case OpEqualP:
-		b, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		eq, err := v.equality(ins.Arg, a, b)
-		v.release(a)
-		v.release(b)
-		if err != nil {
-			return 0, err
-		}
-		v.push(boolV(eq))
-
-	case OpGreaterP, OpLessP, OpGeq, OpLeq:
-		b, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		a, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		x, err := v.intArg(a)
-		if err != nil {
-			v.release(a)
-			v.release(b)
-			return 0, err
-		}
-		y, err := v.intArg(b)
-		if err != nil {
-			v.release(a)
-			v.release(b)
-			return 0, err
-		}
-		// The interpreter compares numbers as float64s.
-		fx, fy := float64(x), float64(y)
-		var res bool
-		switch ins.Op {
-		case OpGreaterP:
-			res = fx > fy
-		case OpLessP:
-			res = fx < fy
-		case OpGeq:
-			res = fx >= fy
-		case OpLeq:
-			res = fx <= fy
-		}
-		v.push(boolV(res))
-
-	case OpMax, OpMin:
-		n := int(ins.Arg)
-		if n < 1 || len(v.stack) < n {
-			return 0, errors.New("missing arguments")
-		}
-		base := len(v.stack) - n
-		best, err := v.intArg(v.stack[base])
-		if err == nil {
-			for i := base + 1; i < len(v.stack); i++ {
-				var x int64
-				x, err = v.intArg(v.stack[i])
-				if err != nil {
-					break
-				}
-				if (ins.Op == OpMax && x > best) || (ins.Op == OpMin && x < best) {
-					best = x
-				}
-			}
-		}
-		for i := base; i < len(v.stack); i++ {
-			v.release(v.stack[i])
-		}
-		v.stack = v.stack[:base]
-		if err != nil {
-			return 0, err
-		}
-		v.push(intV(best))
-
-	case OpGet:
-		p, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		s, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		sk, err := v.symKey(s)
-		if err == nil {
-			var pk int32
-			pk, err = v.symKey(p)
-			if err == nil {
-				val := v.props[sk][pk]
-				v.retain(val)
-				v.push(val)
-			}
-		}
-		v.release(s)
-		v.release(p)
-		if err != nil {
-			return 0, err
-		}
-
-	case OpPutprop:
-		p, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		val, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		s, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		sk, serr := v.symKey(s)
-		pk, perr := v.symKey(p)
-		if serr != nil || perr != nil {
-			v.release(val)
-			v.release(s)
-			v.release(p)
-			if serr != nil {
-				return 0, serr
-			}
-			return 0, perr
-		}
-		if v.props == nil {
-			v.props = make(map[int32]map[int32]Value)
-		}
-		plist := v.props[sk]
-		if plist == nil {
-			plist = make(map[int32]Value)
-			v.props[sk] = plist
-		}
-		old, existed := plist[pk]
-		v.retain(val) // the property list's own reference
-		plist[pk] = val
-		if existed {
-			v.release(old)
-		}
-		v.release(s)
-		v.release(p)
-		// putprop returns the stored value; the stack's original
-		// reference carries it.
-		v.push(val)
-
-	case OpRdList:
-		off := int(ins.Arg) - 1
-		if off < 0 || off >= len(f.vars) {
-			return 0, fmt.Errorf("bad frame offset %d", ins.Arg)
-		}
-		if len(v.input) == 0 {
-			// As the interpreter's read: nil, and nothing is bound.
-			v.push(nilV)
-			break
-		}
-		datum := v.input[0]
-		v.input = v.input[1:]
-		val, err := v.m.ReadList(datum, v.toCore(f.vars[off]))
-		if err != nil {
-			return 0, err
-		}
-		f.vars[off] = v.fromCore(val)
-		if v.sink != nil {
-			v.sink.Prim("read", nil, datum, v.depth)
-		}
-		v.retain(f.vars[off])
-		v.push(f.vars[off])
-
-	case OpWrList:
-		// Prints TOS, which stays as the value: print returns its argument.
-		if len(v.stack) == 0 {
-			return 0, errors.New("vm: stack underflow")
-		}
-		sv, err := v.sexprOf(v.stack[len(v.stack)-1])
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintln(v.out, sexpr.String(sv))
-
-	case OpHalt:
-		return 0, errHalted
-
-	case OpFGuard:
-		if _, ok := v.prog.Funcs[ins.Sym]; !ok {
-			return 0, &callError{"undefined function " + ins.Sym}
-		}
-
-	case OpLink:
-		group := v.ln.groups[ins.Arg]
-		for _, fn := range group {
-			v.ln.bind(fn)
-		}
-		v.push(Value{Kind: KAtom, W: v.symWord(pc, ins.Sym)})
-
-	case OpUndef:
-		return 0, &callError{"undefined function " + f.fname}
-
-	case OpArity:
-		return 0, &callError{fmt.Sprintf("%s called with %d args, wants %d",
-			f.fname, f.npending, v.prog.Funcs[f.fname].NArgs)}
-
-	default:
-		return 0, fmt.Errorf("unknown opcode %d", ins.Op)
-	}
-	return pc + 1, nil
 }
 
 // lookupName searches frames newest-first for a dynamic binding.

@@ -1,6 +1,10 @@
 package vm_test
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/benchprogs"
@@ -158,6 +162,71 @@ func BenchmarkBenchprogEval(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// sessionInit and driverSrc mirror smallbench's batch workload: each
+// session loads its benchprog at scale 1 and then the scratch list,
+// counter and helper every smallbench session gets, and each batch
+// request re-runs the program's driver.
+const sessionInit = `
+(setq scratch (list 0 1 2 3 4 5 6 7))
+(setq counter 0)
+(def helper (lambda (x) (+ x 1)))
+`
+
+var driverSrc = map[string]string{
+	"slang":  strings.Repeat("(run-vectors vectors 1 0) ", 8),
+	"plagen": strings.Repeat("(list (plagen terms0 'x0 'i0) (plagen terms1 'x1 'i1) (plagen terms2 'x2 'i2)) ", 3),
+	"lyra":   "(list (check-layer 'poly 2))",
+	"editor": "(list (edit-count 'bar2 doc2) (edit-count 'newfoo2 doc2) (edit-count 'x2 doc2) (edit-find 'baz2 doc2) (edit-depth doc2))",
+	"pearl":  pearlDriver(rand.New(rand.NewSource(1))),
+}
+
+// pearlDriver is a block of 300 in-place record updates and then the
+// checksum, as smallbench draws it.
+func pearlDriver(r *rand.Rand) string {
+	var sb strings.Builder
+	for range 300 {
+		rec := r.Intn(10)
+		switch r.Intn(3) {
+		case 0:
+			fmt.Fprintf(&sb, "(db-set-a 'rec%d %d) ", rec, r.Intn(1000))
+		case 1:
+			fmt.Fprintf(&sb, "(db-set-b 'rec%d %d) ", rec, r.Intn(1000))
+		default:
+			fmt.Fprintf(&sb, "(db-bump 'rec%d) ", rec)
+		}
+	}
+	sb.WriteString("(db-sum)")
+	return sb.String()
+}
+
+// BenchmarkSessionDriver times smallbench's batch requests in process:
+// one linked session per benchprog, loaded as a batch session is, runs
+// its driver once per iteration with a fresh step budget and its output
+// buffer reset, as smalld runs an eval. Parse, compile, link, the run
+// and the value's conversion are all inside the loop.
+func BenchmarkSessionDriver(b *testing.B) {
+	for _, bp := range benchprogs.All() {
+		b.Run(bp.Name, func(b *testing.B) {
+			var out bytes.Buffer
+			s := vm.NewSession(vm.WithMachine(core.NewMachine(core.Config{})),
+				vm.WithOutput(&out), vm.WithStepLimit(5_000_000))
+			if _, err := s.Run(bp.Gen(1) + sessionInit); err != nil {
+				b.Fatal(err)
+			}
+			src := driverSrc[bp.Name]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				out.Reset()
+				s.ResetSteps()
+				if _, err := s.Run(src); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
