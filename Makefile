@@ -60,7 +60,8 @@ smoke-ingest:
 # fuzz corpora under testdata/fuzz (no live fuzzing; use `go test -fuzz`
 # for that). Explicit in verify so a format change that breaks a saved
 # hostile input fails loudly by name. Covers both untrusted-byte
-# decoders (the binary trace codec and the cluster RPC wire protocol),
+# decoders (the binary trace codec, with the in-memory upload decode
+# held to ReadAuto plus Preprocess, and the cluster RPC wire protocol),
 # the s-expression reader every eval body goes through (held to the
 # rune reader it replaced), and the interpreter-vs-VM session parity
 # scripts.

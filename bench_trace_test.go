@@ -2,9 +2,11 @@ package repro_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
+	"repro/internal/benchprogs"
 	"repro/internal/trace"
 )
 
@@ -105,6 +107,50 @@ func BenchmarkTracePreprocess(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				trace.Preprocess(t)
+			}
+		})
+	}
+}
+
+// BenchmarkTraceReadRefs decodes the SMTB traces smallbench's ingest
+// workload uploads (every benchprog trace of at most 64 KB: pearl and
+// slang at scales 1 and 2, plagen at scale 1) to their reference
+// streams, as an upload is decoded in memory: ReadRefs, against the
+// path it replaced, ReadAuto and then Preprocess on the same bytes.
+func BenchmarkTraceReadRefs(b *testing.B) {
+	for _, c := range []struct {
+		prog  string
+		scale int
+	}{{"pearl", 1}, {"pearl", 2}, {"slang", 1}, {"slang", 2}, {"plagen", 1}} {
+		bp, _ := benchprogs.ByName(c.prog)
+		tr, err := benchprogs.Trace(bp, c.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteBinary(&buf, tr); err != nil {
+			b.Fatal(err)
+		}
+		smtb := buf.Bytes()
+		name := fmt.Sprintf("%s-%d", c.prog, c.scale)
+		b.Run(name+"/readrefs", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(smtb)))
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.ReadRefs(smtb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/readauto+preprocess", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(smtb)))
+			for i := 0; i < b.N; i++ {
+				t, _, err := trace.ReadAuto(bytes.NewReader(smtb))
+				if err != nil {
+					b.Fatal(err)
+				}
 				trace.Preprocess(t)
 			}
 		})

@@ -33,21 +33,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: smallsim [flags] <trace file>")
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
+	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smallsim: %v\n", err)
 		os.Exit(1)
 	}
 	// Any trace format is accepted: text, binary ("SMTB"), or a
-	// preprocessed reference stream ("SMRS", which skips Preprocess).
-	t, st, err := trace.ReadAuto(f)
-	f.Close()
+	// preprocessed reference stream ("SMRS").
+	st, err := trace.ReadRefs(data)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smallsim: %v\n", err)
 		os.Exit(1)
-	}
-	if st == nil {
-		st = trace.Preprocess(t)
 	}
 	p := sim.Params{
 		TableSize: *tableSize,

@@ -247,8 +247,9 @@ func (s *Staging) tenantLocked(id string) (*tenant, error) {
 // Push streams one upload into the tenant's staging area. The reader is
 // consumed through a bounded buffer: at most the tenant's remaining
 // quota plus one byte is ever held, so over-quota uploads are rejected
-// without buffering them. The upload is decoded with trace.ReadAuto
-// (SMTB, SMRS, or text) and staged as a reference stream; rejected and
+// without buffering them. The upload is decoded in memory with
+// trace.ReadRefs (SMTB, SMRS, or text) and staged as a reference
+// stream; rejected and
 // malformed uploads leave staging unchanged but are still charged
 // against the tenant's rate bucket for the bytes read.
 func (s *Staging) Push(tenantID string, r io.Reader) (Segment, error) {
@@ -269,29 +270,23 @@ func (s *Staging) Push(tenantID string, r io.Reader) (Segment, error) {
 	var seg Segment
 	var decErr error
 	if readErr == nil && !over {
-		tr, st, err := trace.ReadAuto(bytes.NewReader(data))
+		st, err := trace.ReadRefs(data)
 		switch {
 		case err != nil:
 			decErr = &BadSegmentError{Err: err}
+		case len(st.Refs) == 0:
+			decErr = &BadSegmentError{Err: fmt.Errorf("trace has no events")}
 		default:
-			wasStream := st != nil
-			if st == nil {
-				st = trace.Preprocess(tr)
-			}
-			if len(st.Refs) == 0 {
-				decErr = &BadSegmentError{Err: fmt.Errorf("trace has no events")}
-			} else {
-				seg = NewSegment(st)
-				seg.RawBytes = int64(len(data))
-				seg.Hash = hash
-				if wasStream {
-					// An SMRS upload whose SMTX footer just survived the
-					// decoder's claim-by-claim verification: keep the
-					// upload bytes as the segment's encoding, so shard
-					// payloads slice them instead of re-encoding.
-					if ix, err := trace.ParseIndex(data); err == nil && ix != nil {
-						seg.enc.data, seg.enc.idx = data, ix
-					}
+			seg = NewSegment(st)
+			seg.RawBytes = int64(len(data))
+			seg.Hash = hash
+			if trace.Sniff(data) == "refs" {
+				// An SMRS upload whose SMTX footer just survived the
+				// decoder's claim-by-claim verification: keep the
+				// upload bytes as the segment's encoding, so shard
+				// payloads slice them instead of re-encoding.
+				if ix, err := trace.ParseIndex(data); err == nil && ix != nil {
+					seg.enc.data, seg.enc.idx = data, ix
 				}
 			}
 		}
@@ -394,17 +389,20 @@ func (s *Staging) TenantCount() int {
 }
 
 // readBounded reads r to completion into memory, stopping one byte past
-// limit (over reports truncation), hashing the bytes read with FNV-1a.
+// limit (over reports truncation), and hashes the bytes read with
+// FNV-1a. It reads straight into the buffer, with no copy buffer
+// between, and hashes the bytes once they are all in.
 func readBounded(r io.Reader, limit int64) (data []byte, hash uint64, over bool, err error) {
-	h := fnv.New64a()
 	var buf bytes.Buffer
-	n, err := io.Copy(io.MultiWriter(&buf, h), io.LimitReader(r, limit+1))
+	n, err := buf.ReadFrom(io.LimitReader(r, limit+1))
 	if err != nil {
 		return nil, 0, false, err
 	}
 	if n > limit {
 		return nil, 0, true, nil
 	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
 	return buf.Bytes(), h.Sum64(), false, nil
 }
 

@@ -243,9 +243,14 @@ func primAppend(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 		}
 	}
 	for _, a := range args[:len(args)-1] {
+		w := sexpr.CdrWalk[*sexpr.Cell]{Op: "append"}
 		for v := a; ; {
-			if _, ok := v.(*sexpr.Cell); !ok {
+			c, ok := v.(*sexpr.Cell)
+			if !ok {
 				break
+			}
+			if err := w.Next(c); err != nil {
+				return nil, err
 			}
 			push(in.carT(v))
 			v = in.cdrT(v)
@@ -265,9 +270,14 @@ func primReverse(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 		return nil, err
 	}
 	var out sexpr.Value
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "reverse"}
 	for {
-		if _, ok := v.(*sexpr.Cell); !ok {
+		c, ok := v.(*sexpr.Cell)
+		if !ok {
 			return out, nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
 		}
 		out = in.consT(in.carT(v), out)
 		v = in.cdrT(v)
@@ -291,7 +301,11 @@ func primNconc(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 		if !ok {
 			continue
 		}
+		w := sexpr.CdrWalk[*sexpr.Cell]{Op: "nconc"}
 		for {
+			if err := w.Next(c); err != nil {
+				return nil, err
+			}
 			next, ok := c.Cdr.(*sexpr.Cell)
 			if !ok {
 				break
@@ -309,9 +323,14 @@ func primMember(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "member"}
 	for {
-		if _, ok := l.(*sexpr.Cell); !ok {
+		c, ok := l.(*sexpr.Cell)
+		if !ok {
 			return nil, nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
 		}
 		if sexpr.Equal(in.carT(l), x) {
 			return l, nil
@@ -325,9 +344,14 @@ func primMemq(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "memq"}
 	for {
-		if _, ok := l.(*sexpr.Cell); !ok {
+		c, ok := l.(*sexpr.Cell)
+		if !ok {
 			return nil, nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
 		}
 		if sexpr.Eq(in.carT(l), x) {
 			return l, nil
@@ -341,9 +365,14 @@ func primAssoc(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "assoc"}
 	for {
-		if _, ok := l.(*sexpr.Cell); !ok {
+		c, ok := l.(*sexpr.Cell)
+		if !ok {
 			return nil, nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
 		}
 		pair := in.carT(l)
 		if sexpr.Equal(in.carT(pair), x) {
@@ -359,9 +388,14 @@ func primLength(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 		return nil, err
 	}
 	n := 0
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "length"}
 	for {
-		if _, ok := v.(*sexpr.Cell); !ok {
+		c, ok := v.(*sexpr.Cell)
+		if !ok {
 			return sexpr.Int(n), nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
 		}
 		n++
 		v = in.cdrT(v)
@@ -377,7 +411,11 @@ func primLast(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if !ok {
 		return nil, nil
 	}
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "last"}
 	for {
+		if err := w.Next(c); err != nil {
+			return nil, err
+		}
 		next, ok := c.Cdr.(*sexpr.Cell)
 		if !ok {
 			return c, nil
@@ -407,36 +445,83 @@ func primCopy(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cp func(v sexpr.Value) sexpr.Value
-	cp = func(v sexpr.Value) sexpr.Value {
-		if _, ok := v.(*sexpr.Cell); !ok {
-			return v
-		}
-		car := cp(in.carT(v))
-		cdr := cp(in.cdrT(v))
-		return in.consT(car, cdr)
+	return in.copyTree(v, 0)
+}
+
+// copyTree copies v, nested depth cars deep, with the traced accesses
+// and conses of a copy that recurses on car and then cdr: it walks the
+// cdrs in a loop under the cycle check, recurses only into cars, at
+// most sexpr.MaxDepth deep, and conses the copied cars from the last
+// back.
+func (in *Interp) copyTree(v sexpr.Value, depth int) (sexpr.Value, error) {
+	if _, ok := v.(*sexpr.Cell); !ok {
+		return v, nil
 	}
-	return cp(v), nil
+	if depth >= sexpr.MaxDepth {
+		return nil, fmt.Errorf("copy: %w", sexpr.ErrTooLarge)
+	}
+	var cars []sexpr.Value
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "copy"}
+	for {
+		c, ok := v.(*sexpr.Cell)
+		if !ok {
+			return in.consOnto(cars, v), nil
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
+		}
+		car, err := in.copyTree(in.carT(v), depth+1)
+		if err != nil {
+			return nil, err
+		}
+		cars = append(cars, car)
+		v = in.cdrT(v)
+	}
 }
 
 func primSubst(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	if len(args) != 3 {
 		return nil, errf(nil, "subst wants 3 args")
 	}
-	new, old, tree := args[0], args[1], args[2]
-	var walk func(v sexpr.Value) sexpr.Value
-	walk = func(v sexpr.Value) sexpr.Value {
+	return in.substTree(args[0], args[1], args[2], 0)
+}
+
+// substTree is subst's walk of v, nested depth cars deep, in the order
+// of copyTree: every position along the cdrs that equals old becomes
+// new, tails included.
+func (in *Interp) substTree(new, old, v sexpr.Value, depth int) (sexpr.Value, error) {
+	var cars []sexpr.Value
+	w := sexpr.CdrWalk[*sexpr.Cell]{Op: "subst"}
+	for {
 		if sexpr.Equal(v, old) {
-			return new
+			return in.consOnto(cars, new), nil
 		}
-		if _, ok := v.(*sexpr.Cell); !ok {
-			return v
+		c, ok := v.(*sexpr.Cell)
+		if !ok {
+			return in.consOnto(cars, v), nil
 		}
-		car := walk(in.carT(v))
-		cdr := walk(in.cdrT(v))
-		return in.consT(car, cdr)
+		if depth >= sexpr.MaxDepth {
+			return nil, fmt.Errorf("subst: %w", sexpr.ErrTooLarge)
+		}
+		if err := w.Next(c); err != nil {
+			return nil, err
+		}
+		car, err := in.substTree(new, old, in.carT(v), depth+1)
+		if err != nil {
+			return nil, err
+		}
+		cars = append(cars, car)
+		v = in.cdrT(v)
 	}
-	return walk(tree), nil
+}
+
+// consOnto conses cars onto tail, the last car first: the conses a
+// recursive copy makes as it returns.
+func (in *Interp) consOnto(cars []sexpr.Value, tail sexpr.Value) sexpr.Value {
+	for i := len(cars) - 1; i >= 0; i-- {
+		tail = in.consT(cars[i], tail)
+	}
+	return tail
 }
 
 // applyValue applies a function value: a symbol naming a function or

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sexpr"
 	"repro/internal/trace"
@@ -444,5 +445,50 @@ func TestCircularValue(t *testing.T) {
 	}
 	if v, err := in.Run("(list (car x) (cadr x) (car (cddr x)) (cadr y))"); err != nil || sexpr.String(v) != "(1 2 1 4)" {
 		t.Errorf("after circular values: %v %v", v, err)
+	}
+}
+
+// TestCircularListPrimitives: every primitive that walks a list's cdrs
+// inside one call, where no step is counted, answers sexpr.ErrCircular
+// on a circular list, in time, and the interpreter stays usable; copy
+// and subst of a list that is its own car answer sexpr.ErrTooLarge.
+func TestCircularListPrimitives(t *testing.T) {
+	in := New()
+	for _, src := range []string{"(setq x (list 1 2)) (setq y (list 3 4))", "(rplacd (cdr x) x)", "(rplaca y y)"} {
+		in.Run(src) // the last two link the lists and answer their errors
+	}
+	for _, c := range []struct {
+		src  string
+		want error
+	}{
+		{"(length x)", sexpr.ErrCircular},
+		{"(last x)", sexpr.ErrCircular},
+		{"(member 9 x)", sexpr.ErrCircular},
+		{"(memq 'z x)", sexpr.ErrCircular},
+		{"(assoc 9 x)", sexpr.ErrCircular},
+		{"(append x nil)", sexpr.ErrCircular},
+		{"(reverse x)", sexpr.ErrCircular},
+		{"(nconc x (list 5))", sexpr.ErrCircular},
+		{"(copy x)", sexpr.ErrCircular},
+		{"(subst 0 9 x)", sexpr.ErrCircular},
+		{"(copy y)", sexpr.ErrTooLarge},
+		{"(subst 0 9 y)", sexpr.ErrTooLarge},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := in.Run(c.src)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s: %v, want %v", c.src, err, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10 s", c.src)
+		}
+	}
+	if v, err := in.Run("(list (car x) (cadr x) (car (cddr x)) (length (list 1 2 3)))"); err != nil || sexpr.String(v) != "(1 2 1 3)" {
+		t.Errorf("after circular lists: %v %v", v, err)
 	}
 }

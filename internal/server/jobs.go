@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -323,12 +322,9 @@ func (m *streamMemo) heldRefs() int64 {
 func resolveStream(ctx context.Context, memo *streamMemo, req *SimRequest) (*trace.Stream, int64, error) {
 	switch {
 	case len(req.TraceData) > 0:
-		t, st, err := trace.ReadAuto(bytes.NewReader(req.TraceData))
+		st, err := trace.ReadRefs(req.TraceData)
 		if err != nil {
 			return nil, 0, badRequestf("bad trace_data: %v", err)
-		}
-		if st == nil {
-			st = trace.Preprocess(t)
 		}
 		if len(st.Refs) == 0 {
 			return nil, 0, badRequestf("trace_data decodes to zero events")

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -270,10 +269,15 @@ func decodeJSON(r *http.Request, v any) error {
 // hardened resolveStream path as trace_data and land in the same
 // decode-bytes counter.
 func decodeSimRequest(r *http.Request, req *SimRequest) error {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
-	if err != nil {
+	// Read into one buffer sized from Content-Length, within the limit,
+	// rather than one grown from 512 bytes; the extra MinRead bytes let
+	// the read that meets EOF land without growing it.
+	const limit = 16 << 20
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, limit)); err != nil {
 		return err
 	}
+	body := buf.Bytes()
 	ct := r.Header.Get("Content-Type")
 	if ct == "application/x-smtb" || ct == "application/x-smrs" || trace.Sniff(body) != "text" {
 		req.TraceData = body

@@ -665,3 +665,48 @@ func TestCircularValueInBand(t *testing.T) {
 		}
 	}
 }
+
+// TestCircularListInBand: on both backends, an eval whose list
+// primitive walks a circular list answers 200 with the error in band,
+// within the request deadline, and the session's next eval succeeds. On
+// the lisp backend that covers copy, whose recursion on the cdr used to
+// overflow the stack and take the process down.
+func TestCircularListInBand(t *testing.T) {
+	_, hs := newTestServer(t, Config{RequestTimeout: 5 * time.Second})
+	client := &http.Client{Timeout: 10 * time.Second}
+	eval := func(base, expr string) (*http.Response, EvalResult) {
+		t.Helper()
+		body, err := json.Marshal(SessionEvalRequest{Expr: expr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(base+"/eval", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		defer resp.Body.Close()
+		var res EvalResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatalf("%s: decoding: %v", expr, err)
+		}
+		return resp, res
+	}
+	for backend, exprs := range map[string][]string{
+		"vm":   {"(length x)"},
+		"lisp": {"(length x)", "(reverse x)", "(copy x)", "(subst 0 9 x)"},
+	} {
+		var info SessionInfo
+		doJSON(t, "POST", hs.URL+"/v1/sessions", SessionCreateRequest{Backend: backend}, &info)
+		base := hs.URL + "/v1/sessions/" + info.ID
+		eval(base, "(setq x (list 1 2)) (rplacd (cdr x) x)")
+		for _, expr := range exprs {
+			resp, res := eval(base, expr)
+			if resp.StatusCode != http.StatusOK || !strings.Contains(res.Error, "circular list") {
+				t.Fatalf("%s: %s: status %d, %+v", backend, expr, resp.StatusCode, res)
+			}
+		}
+		if _, after := eval(base, "(list (car x) (cadr x) (car (cddr x)))"); after.Error != "" || after.Value != "(1 2 1)" {
+			t.Fatalf("%s: after circular lists: %+v", backend, after)
+		}
+	}
+}

@@ -12,6 +12,7 @@ package sexpr
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 )
@@ -215,6 +216,31 @@ func (y *Cycle[T]) Step(next T) bool {
 		y.saved, y.power, y.lamb = next, 2*y.power, 0
 	}
 	return false
+}
+
+// CdrWalk guards a list primitive's walk along a list's cdrs inside one
+// call or one instruction, where neither a step budget nor a context
+// would stop a walk round a circular list. Next takes each cell of the
+// walk in turn, the first included, and at the first that closes a
+// cycle answers an error that names Op and wraps ErrCircular. The zero
+// value, given an Op, is ready to use.
+type CdrWalk[T comparable] struct {
+	Op      string
+	cy      Cycle[T]
+	started bool
+}
+
+// Next takes the next cell of the walk.
+func (w *CdrWalk[T]) Next(c T) error {
+	if !w.started {
+		w.cy.Start(c)
+		w.started = true
+		return nil
+	}
+	if w.cy.Step(c) {
+		return fmt.Errorf("%s: %w", w.Op, ErrCircular)
+	}
+	return nil
 }
 
 // Cons allocates a fresh cell.

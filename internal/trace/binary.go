@@ -344,9 +344,17 @@ type Decoder struct {
 	blockN    int // events in the current block
 	blockI    int // next event within the block
 	event     int // absolute index of the next event (for errors)
-	kinds     [blockEvents]byte
-	depths    [blockEvents]int64
-	opix      [blockEvents]uint32
+	cols      BlockScratch
+
+	// What the SMTX footer check needs: the offset where each block
+	// starts and, once decoded, where the last one ends; and the running
+	// maximum string index through each block.
+	offs   []int64
+	marks  []int
+	runMax int
+	resix  uint32   // the current prim's result index
+	argix  []uint32 // the current prim's argument indices
+	end    error    // once the last event is out: io.EOF, or why the trailer failed
 }
 
 // errf wraps a decode failure with the current byte offset and event
@@ -359,7 +367,7 @@ func (d *Decoder) errf(format string, args ...any) error {
 // decodeBufSize is the decoder's read-ahead window. The hot path
 // decodes varints with direct slice indexing into this buffer; an
 // io.Reader round trip happens once per window, not per byte.
-const decodeBufSize = 64 << 10
+const decodeBufSize = 16 << 10
 
 // fill compacts unread bytes to the front of the buffer and reads more
 // from the source, stopping as soon as it makes progress.
@@ -490,9 +498,10 @@ func (d *Decoder) readTable(what string, count, maxLen int, allowEmpty bool) ([]
 		return out, nil
 	}
 	lens := make([]int, 0, min(count, preallocCap))
+	lenWhat := what + " length"
 	var buf []byte
 	for i := 0; i < count; i++ {
-		n, err := d.readCount(what+" length", uint64(maxLen))
+		n, err := d.readCount(lenWhat, uint64(maxLen))
 		if err != nil {
 			return nil, err
 		}
@@ -529,27 +538,36 @@ func (d *Decoder) readTable(what string, count, maxLen int, allowEmpty bool) ([]
 // to stream its events.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	d := &Decoder{r: r, buf: make([]byte, decodeBufSize)}
+	if err := d.readHeader(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// readHeader reads the magic, version, name, op and string tables and
+// event count of a binary trace.
+func (d *Decoder) readHeader() error {
 	var magic [4]byte
 	got, err := d.readFull(magic[:])
 	if err != nil || magic != magicTrace {
-		return nil, d.errf("not a binary trace (bad magic %q)", magic[:got])
+		return d.errf("not a binary trace (bad magic %q)", magic[:got])
 	}
 	ver, err := d.readByte()
 	if err != nil {
-		return nil, d.errf("unexpected EOF reading version")
+		return d.errf("unexpected EOF reading version")
 	}
 	if ver != traceVersion {
-		return nil, d.errf("unsupported binary trace version %d (want %d)", ver, traceVersion)
+		return d.errf("unsupported binary trace version %d (want %d)", ver, traceVersion)
 	}
 	if d.name, err = d.readTableString("trace name", maxNameLen); err != nil {
-		return nil, err
+		return err
 	}
 	nops, err := d.readCount("op table count", maxTableCount)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.ops, err = d.readTable("op name", nops, maxOpLen, false); err != nil {
-		return nil, err
+		return err
 	}
 	// Share the canonical interned instance across traces; if the global
 	// op table is full, keep the table-backed substring.
@@ -560,17 +578,20 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	}
 	nstrs, err := d.readCount("string table count", maxTableCount)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.strs, err = d.readTable("string table entry", nstrs, maxStrLen, true); err != nil {
-		return nil, err
+		return err
 	}
 	d.copyEnd = d.off
 	if d.total, err = d.readCount("event count", maxEventCount); err != nil {
-		return nil, err
+		return err
 	}
 	d.remaining = d.total
-	return d, nil
+	nb := blockCountOf(d.total)
+	d.offs = append(make([]int64, 0, min(nb+1, preallocCap)), d.off)
+	d.marks = make([]int, 0, min(nb, preallocCap))
+	return nil
 }
 
 // Name returns the trace name from the header.
@@ -583,12 +604,12 @@ func (d *Decoder) Events() int { return d.total }
 func (d *Decoder) readBlock() error {
 	n := min(blockEvents, d.remaining)
 	d.blockN, d.blockI = n, 0
-	got, err := d.readFull(d.kinds[:n])
+	got, err := d.readFull(d.cols.kinds[:n])
 	if err != nil {
 		return d.errf("unexpected EOF reading kind column (%d of %d bytes)", got, n)
 	}
 	for i := 0; i < n; i++ {
-		kb := d.kinds[i]
+		kb := d.cols.kinds[i]
 		if kb&kindMask > byte(KindExit) {
 			return d.errf("unknown event kind %d", kb&kindMask)
 		}
@@ -604,7 +625,7 @@ func (d *Decoder) readBlock() error {
 		if v > maxDepth {
 			return d.errf("depth %d exceeds limit %d", v, int64(maxDepth))
 		}
-		d.depths[i] = int64(v)
+		d.cols.depths[i] = int64(v)
 	}
 	for i := 0; i < n; i++ {
 		v, err := d.readUvarint("op index")
@@ -614,70 +635,129 @@ func (d *Decoder) readBlock() error {
 		if v >= uint64(len(d.ops)) {
 			return d.errf("op index %d out of range (table has %d)", v, len(d.ops))
 		}
-		d.opix[i] = uint32(v)
+		d.cols.opix[i] = uint32(v)
 	}
 	return nil
 }
 
-// Next decodes the next event into ev, reusing ev's Args backing array
-// when its capacity suffices. It returns io.EOF after the last event.
-// The strings placed in ev are shared with the decoder's tables: valid
-// indefinitely, but common to all events.
-func (d *Decoder) Next(ev *Event) error {
-	if d.blockI >= d.blockN {
-		if d.remaining == 0 {
-			return io.EOF
+// nextBlock closes the block just decoded and loads the next one's
+// columns. After the last block it checks the end of input once, as
+// every reader of the format must: the event count is authoritative,
+// so trailing bytes are either an SMTX index footer (verified claim by
+// claim against the block offsets and watermarks recorded here) or
+// corruption. It then answers io.EOF, or the trailer's fault, for good.
+func (d *Decoder) nextBlock() error {
+	if d.end != nil {
+		return d.end
+	}
+	if d.event > 0 {
+		d.offs = append(d.offs, d.off)
+		d.marks = append(d.marks, d.runMax)
+	}
+	if d.remaining == 0 {
+		d.end = d.verifyTrailer("events", d.total, len(d.strs)-1, d.copyEnd, d.copyEnd,
+			d.offs, d.marks, func(int) int64 { return d.copyEnd })
+		if d.end == nil {
+			d.end = io.EOF
 		}
-		if err := d.readBlock(); err != nil {
-			return err
+		return d.end
+	}
+	return d.readBlock()
+}
+
+// rawEvent is one decoded event as table indices, before anything is
+// built from it. A prim's result and argument indices are in
+// Decoder.resix and Decoder.argix. (Four fields keep it in registers.)
+type rawEvent struct {
+	kind  Kind
+	op    uint32 // op table index
+	depth int
+	nargs int // KindEnter: the declared argument count
+}
+
+// step decodes the next event: its kind, depth and op from the block
+// columns, and for a prim the result and argument indices, each
+// range-checked against the string table and folded into the running
+// maximum the SMTX check needs. Next, ReadBinary and ReadRefs differ
+// only in what they build from it. After the last event it returns
+// io.EOF (see nextBlock).
+func (d *Decoder) step() (rawEvent, error) {
+	if d.blockI >= d.blockN {
+		if err := d.nextBlock(); err != nil {
+			return rawEvent{}, err
 		}
 	}
 	i := d.blockI
-	kb := d.kinds[i]
-	kind := Kind(kb & kindMask)
+	kb := d.cols.kinds[i]
+	e := rawEvent{kind: Kind(kb & kindMask), op: d.cols.opix[i], depth: int(d.cols.depths[i])}
 	nargs := int(kb >> kindNArgsShift)
-	// Keep the caller's Args backing array across every event kind —
-	// enter/exit events must not drop it, or the next prim reallocates.
-	args := ev.Args[:0]
-	*ev = Event{Kind: kind, Op: d.ops[d.opix[i]], Depth: int(d.depths[i]), Args: args}
-	switch kind {
+	switch e.kind {
 	case KindPrim:
 		ri, err := d.readUvarint("result index")
 		if err != nil {
-			return err
+			return rawEvent{}, err
 		}
 		if ri >= uint64(len(d.strs)) {
-			return d.errf("result index %d out of range (table has %d)", ri, len(d.strs))
+			return rawEvent{}, d.errf("result index %d out of range (table has %d)", ri, len(d.strs))
 		}
-		ev.Result = d.strs[ri]
+		d.runMax = max(d.runMax, int(ri))
+		d.resix = uint32(ri)
 		if nargs == kindNArgsOverflow {
 			if nargs, err = d.readCount("argument count", maxEventArgs); err != nil {
-				return err
+				return rawEvent{}, err
 			}
 		}
+		d.argix = d.argix[:0]
 		for j := 0; j < nargs; j++ {
 			ai, err := d.readUvarint("argument index")
 			if err != nil {
-				return err
+				return rawEvent{}, err
 			}
 			if ai >= uint64(len(d.strs)) {
-				return d.errf("argument index %d out of range (table has %d)", ai, len(d.strs))
+				return rawEvent{}, d.errf("argument index %d out of range (table has %d)", ai, len(d.strs))
 			}
-			args = append(args, d.strs[ai])
+			d.runMax = max(d.runMax, int(ai))
+			d.argix = append(d.argix, uint32(ai))
 		}
-		ev.Args = args
 	case KindEnter:
 		if nargs == kindNArgsOverflow {
 			var err error
 			if nargs, err = d.readCount("nargs", maxEventArgs); err != nil {
-				return err
+				return rawEvent{}, err
 			}
 		}
-		ev.NArgs = nargs
+		e.nargs = nargs
 	}
 	d.blockI++
 	d.event++
 	d.remaining--
+	return e, nil
+}
+
+// Next decodes the next event into ev, reusing ev's Args backing array
+// when its capacity suffices. It returns io.EOF after the last event,
+// once the end of input has passed the same checks ReadBinary makes.
+// The strings placed in ev are shared with the decoder's tables: valid
+// indefinitely, but common to all events.
+func (d *Decoder) Next(ev *Event) error {
+	e, err := d.step()
+	if err != nil {
+		return err
+	}
+	// Keep the caller's Args backing array across every event kind —
+	// enter/exit events must not drop it, or the next prim reallocates.
+	args := ev.Args[:0]
+	*ev = Event{Kind: e.kind, Op: d.ops[e.op], Depth: e.depth, Args: args}
+	switch e.kind {
+	case KindPrim:
+		ev.Result = d.strs[d.resix]
+		for _, ai := range d.argix {
+			args = append(args, d.strs[ai])
+		}
+		ev.Args = args
+	case KindEnter:
+		ev.NArgs = e.nargs
+	}
 	return nil
 }
 
@@ -690,94 +770,33 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: d.Name()}
-	t.Events = make([]Event, 0, min(d.Events(), preallocCap))
-	// This is Next's decode loop inlined to fill the events slice in
-	// place: no intermediate Event copy, and argument indices resolve
-	// straight into chunked arena storage instead of through a scratch
-	// slice. Keep the two in sync with any format change.
+	t := &Trace{Name: d.name, Events: make([]Event, 0, min(d.total, preallocCap))}
 	var arena []string // chunked backing storage for event Args
-	// Per-block offsets and watermarks, recorded so an SMTX footer (if
-	// present) can be verified against what the file actually holds.
-	nb := blockCountOf(d.total)
-	offs := append(make([]int64, 0, min(nb+1, preallocCap)), d.off)
-	marks := make([]int, 0, min(nb, preallocCap))
-	runMax := 0
-	for d.event < d.total {
-		if d.blockI >= d.blockN {
-			if d.event > 0 {
-				// Close the previous block.
-				offs = append(offs, d.off)
-				marks = append(marks, runMax)
-			}
-			if err := d.readBlock(); err != nil {
-				return nil, err
-			}
+	for {
+		e, err := d.step()
+		if err == io.EOF {
+			return t, nil
 		}
-		i := d.blockI
-		kb := d.kinds[i]
-		nargs := int(kb >> kindNArgsShift)
-		t.Events = append(t.Events, Event{
-			Kind: Kind(kb & kindMask), Op: d.ops[d.opix[i]], Depth: int(d.depths[i]),
-		})
-		e := &t.Events[len(t.Events)-1]
-		switch e.Kind {
+		if err != nil {
+			return nil, err
+		}
+		ev := Event{Kind: e.kind, Op: d.ops[e.op], Depth: e.depth}
+		switch e.kind {
 		case KindPrim:
-			ri, err := d.readUvarint("result index")
-			if err != nil {
-				return nil, err
-			}
-			if ri >= uint64(len(d.strs)) {
-				return nil, d.errf("result index %d out of range (table has %d)", ri, len(d.strs))
-			}
-			runMax = max(runMax, int(ri))
-			e.Result = d.strs[ri]
-			if nargs == kindNArgsOverflow {
-				if nargs, err = d.readCount("argument count", maxEventArgs); err != nil {
-					return nil, err
-				}
-			}
-			if nargs > 0 {
-				if len(arena)+nargs > cap(arena) {
-					arena = make([]string, 0, max(4*blockEvents, nargs))
+			ev.Result = d.strs[d.resix]
+			if n := len(d.argix); n > 0 {
+				if len(arena)+n > cap(arena) {
+					arena = make([]string, 0, max(4*blockEvents, n))
 				}
 				start := len(arena)
-				for j := 0; j < nargs; j++ {
-					ai, err := d.readUvarint("argument index")
-					if err != nil {
-						return nil, err
-					}
-					if ai >= uint64(len(d.strs)) {
-						return nil, d.errf("argument index %d out of range (table has %d)", ai, len(d.strs))
-					}
-					runMax = max(runMax, int(ai))
+				for _, ai := range d.argix {
 					arena = append(arena, d.strs[ai])
 				}
-				e.Args = arena[start:len(arena):len(arena)]
+				ev.Args = arena[start:len(arena):len(arena)]
 			}
 		case KindEnter:
-			if nargs == kindNArgsOverflow {
-				if nargs, err = d.readCount("nargs", maxEventArgs); err != nil {
-					return nil, err
-				}
-			}
-			e.NArgs = nargs
+			ev.NArgs = e.nargs
 		}
-		d.blockI++
-		d.event++
-		d.remaining--
+		t.Events = append(t.Events, ev)
 	}
-	if d.total > 0 {
-		offs = append(offs, d.off)
-		marks = append(marks, runMax)
-	}
-	// The event count is authoritative; trailing bytes are either an
-	// SMTX index footer (verified claim by claim against the offsets
-	// and watermarks recorded above) or corruption.
-	err = d.verifyTrailer("events", d.total, len(d.strs)-1, d.copyEnd, d.copyEnd,
-		offs, marks, func(int) int64 { return d.copyEnd })
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -275,9 +275,10 @@ func readStreamHeader(d *streamDecoder) (st *Stream, ops []Opcode, copyEnd, idSt
 	return st, ops, copyEnd, idStart, nrefs, nil
 }
 
-// BlockScratch holds the column arrays used while decoding one ref
-// block. Callers that decode block after block (the scanner, the
-// prefetcher) allocate one and reuse it across calls.
+// BlockScratch holds the column arrays used while decoding one block.
+// Callers that decode block after block (the scanner, the prefetcher)
+// reuse one across calls; a Decoder holds one, which its SMTB events
+// and a StreamScanner's SMRS refs both decode through.
 type BlockScratch struct {
 	kinds  [blockEvents]byte
 	depths [blockEvents]int64
@@ -413,7 +414,6 @@ func (rr *recordingReader) Read(p []byte) (int, error) {
 // dispatcher relies on.
 type StreamScanner struct {
 	d         streamDecoder
-	bs        BlockScratch
 	st        *Stream
 	ops       []Opcode
 	nrefs     int
@@ -441,9 +441,17 @@ func NewStreamScanner(r io.Reader, keepRaw bool) (*StreamScanner, error) {
 		r = sc.rec
 	}
 	sc.d = streamDecoder{Decoder{r: r, buf: make([]byte, decodeBufSize)}}
+	if err := sc.start(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// start reads the stream header through sc.d.
+func (sc *StreamScanner) start() error {
 	st, ops, copyEnd, idStart, nrefs, err := readStreamHeader(&sc.d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc.st, sc.ops = st, ops
 	sc.copyEnd, sc.idStart, sc.nrefs = copyEnd, idStart, nrefs
@@ -454,7 +462,7 @@ func NewStreamScanner(r io.Reader, keepRaw bool) (*StreamScanner, error) {
 	sc.counts = make([]int, 0, min(nb, preallocCap))
 	sc.marks = make([]int, 0, min(nb, preallocCap))
 	sc.idEnds = make([]int64, 0, min(nb, preallocCap))
-	return sc, nil
+	return nil
 }
 
 // idCumTo is the byte length of id-text entries 1..m as encoded; built
@@ -488,7 +496,7 @@ func (sc *StreamScanner) Scan() (int, error) {
 		return 0, io.EOF
 	}
 	n := min(blockEvents, sc.remaining)
-	refs, arena, maxSeen, err := sc.bs.decodeBlock(&sc.d, sc.ops, sc.st.MaxID, n, sc.st.Refs, sc.arena)
+	refs, arena, maxSeen, err := sc.d.cols.decodeBlock(&sc.d, sc.ops, sc.st.MaxID, n, sc.st.Refs, sc.arena)
 	sc.st.Refs, sc.arena = refs, arena
 	if err != nil {
 		return 0, err
@@ -552,6 +560,11 @@ func ReadStream(r io.Reader) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sc.readAll()
+}
+
+// readAll scans every block and the end of input.
+func (sc *StreamScanner) readAll() (*Stream, error) {
 	for {
 		if _, err := sc.Scan(); err != nil {
 			if err == io.EOF {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lisp"
@@ -313,5 +314,30 @@ func TestSessionCircularValue(t *testing.T) {
 	}
 	if got := mustRun(t, s, "(list (car x) (cadr x) (car (cddr x)) (cadr y))"); got != "(1 2 1 4)" {
 		t.Errorf("after circular values: %s", got)
+	}
+}
+
+// TestSessionCircularLength: LENGTHOP walks its list inside one
+// instruction, where no step is counted, so on a circular list it must
+// answer sexpr.ErrCircular, in time, and leave the session usable.
+func TestSessionCircularLength(t *testing.T) {
+	s := newTestSession()
+	mustRun(t, s, "(setq x (list 1 2))")
+	s.Run("(rplacd (cdr x) x)") // links the list and answers its error
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run("(length x)")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, sexpr.ErrCircular) || !strings.Contains(err.Error(), "length: sexpr: circular list") {
+			t.Errorf("(length x): %v, want length: %v", err, sexpr.ErrCircular)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("(length x) still running after 10 s")
+	}
+	if got := mustRun(t, s, "(list (car x) (cadr x) (car (cddr x)) (length (list 1 2 3)))"); got != "(1 2 1 3)" {
+		t.Errorf("after a circular length: %s", got)
 	}
 }

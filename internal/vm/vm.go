@@ -697,7 +697,11 @@ func (v *VM) Run() (sexpr.Value, error) {
 			}
 			n := int64(0)
 			cur := x
+			w := sexpr.CdrWalk[Value]{Op: "length"}
 			for isListKind(cur) {
+				if err = w.Next(cur); err != nil {
+					break
+				}
 				var next Value
 				next, err = v.access1(cur, false)
 				if err != nil {

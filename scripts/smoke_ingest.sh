@@ -4,7 +4,8 @@
 # Builds the daemon and tracegen, renders two benchmark traces as SMTB
 # files, then drives the full ingest contract over curl against both a
 # standalone smalld and a gateway + two workers, each under a tight
-# per-tenant quota: pushes are accepted until staging fills, an
+# per-tenant quota: one trace pushed as text, as SMTB and as SMRS runs
+# to byte-identical results, pushes are accepted until staging fills, an
 # over-quota push gets 429 with Retry-After, a sharded run spread over
 # the workers returns a response byte-identical to the standalone
 # replay, a streaming SMRS upload dispatches its first shard before
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 TMP=$(mktemp -d)
 BIN="$TMP/smalld"
 cleanup() {
-    for p in "${SOLO:-}" "${W1:-}" "${W2:-}" "${GW:-}"; do
+    for p in "${SOLO:-}" "${W1:-}" "${W2:-}" "${GW:-}" "${FMT:-}"; do
         [ -n "$p" ] && kill "$p" 2>/dev/null || true
     done
     rm -rf "$TMP"
@@ -32,6 +33,8 @@ go build -o "$BIN" ./cmd/smalld
 go run ./cmd/tracegen -scale 1 -format binary -bench slang -out "$TMP" >/dev/null
 go run ./cmd/tracegen -scale 1 -format binary -bench pearl -out "$TMP" >/dev/null
 go run ./cmd/tracegen -scale 1 -format refs -bench lyra -out "$TMP" >/dev/null
+go run ./cmd/tracegen -scale 1 -format text -bench pearl -out "$TMP" >/dev/null
+go run ./cmd/tracegen -scale 1 -format refs -bench pearl -out "$TMP" >/dev/null
 SLANG="$TMP/slang.btrace"
 PEARL="$TMP/pearl.btrace"
 LYRA="$TMP/lyra.refs"
@@ -70,6 +73,27 @@ RPC2=$(wait_line "$TMP/w2.log" "smalld: rpc listening on" "$W2") || { cat "$TMP/
 GW=$!
 GW_ADDR=$(wait_line "$TMP/gw.log" "smalld: listening on" "$GW") || { cat "$TMP/gw.log"; fail "gateway startup"; }
 echo "smoke-ingest: standalone http://$SOLO_ADDR, gateway http://$GW_ADDR -> workers $RPC1, $RPC2 (quota $QUOTA bytes)"
+
+# One trace in three formats must give one answer: pearl pushed as
+# text, as SMTB and as SMRS to three tenants of a daemon whose quota
+# fits the text form, each run with the same point, must return
+# byte-identical results.
+"$BIN" -addr 127.0.0.1:0 -ingest-quota $(( $(wc -c < "$TMP/pearl.trace") + 16 )) >"$TMP/fmt.log" 2>&1 &
+FMT=$!
+FMT_ADDR=$(wait_line "$TMP/fmt.log" "smalld: listening on" "$FMT") || { cat "$TMP/fmt.log"; fail "formats daemon startup"; }
+for F in pearl.trace pearl.btrace pearl.refs; do
+    CODE=$(curl -s -o "$TMP/push.json" -w '%{http_code}' --data-binary @"$TMP/$F" "http://$FMT_ADDR/v1/ingest/fmt-$F")
+    [ "$CODE" = 202 ] || { cat "$TMP/push.json"; fail "push $F gave $CODE"; }
+    curl -fsS -d '{"point":{"table_size":256,"seed":7},"shards":2}' "http://$FMT_ADDR/v1/ingest/fmt-$F/run" \
+        >"$TMP/fmt-run-$F.json" || fail "run of $F"
+    sed -n '/"result"/,$p' "$TMP/fmt-run-$F.json" >"$TMP/fmt-result-$F.json"
+    grep -q '"lpt_hits"' "$TMP/fmt-result-$F.json" || fail "run of $F has no result: $(cat "$TMP/fmt-run-$F.json")"
+done
+for F in pearl.btrace pearl.refs; do
+    cmp -s "$TMP/fmt-result-pearl.trace.json" "$TMP/fmt-result-$F.json" ||
+        { diff "$TMP/fmt-result-pearl.trace.json" "$TMP/fmt-result-$F.json" || true; fail "$F runs differently from the text trace"; }
+done
+echo "smoke-ingest: pearl as text, SMTB and SMRS: one result"
 
 # Stage both traces on both topologies.
 for BASE in "http://$SOLO_ADDR" "http://$GW_ADDR"; do
