@@ -806,3 +806,32 @@ func (m *Machine) cursorValue(c textCursor, depth int, budget *int) (sexpr.Value
 		}
 	}
 }
+
+// CheckCdrs answers an error naming op that wraps sexpr.ErrCircular when
+// following v's cdrs never ends, and nil when it ends. A list primitive
+// that walks v's cdrs inside one instruction calls it first: that walk
+// expands heap cells into fresh entries and frees the ones it has
+// passed, so entry ids recur along a finite list and cannot be compared.
+// CheckCdrs compares the read-only cursor positions ValueOf walks, which
+// it neither expands, allocates nor frees, so each position has one
+// successor and the check finds exactly the lists that close a cycle.
+// It does not disturb reference counts.
+func (m *Machine) CheckCdrs(op string, v Value) error {
+	c, err := m.textCursorOf(v)
+	if err != nil {
+		return err
+	}
+	w := sexpr.CdrWalk[textCursor]{Op: op}
+	for {
+		rc, isCell, err := m.resolveCursor(c)
+		if err != nil || !isCell {
+			return err
+		}
+		if err := w.Next(rc); err != nil {
+			return err
+		}
+		if _, c, err = m.cursorChildren(rc); err != nil {
+			return err
+		}
+	}
+}

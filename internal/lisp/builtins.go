@@ -287,7 +287,7 @@ func primReverse(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 func primNconc(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 	var head sexpr.Value
 	var tail *sexpr.Cell
-	for _, a := range args {
+	for i, a := range args {
 		if a == nil {
 			continue
 		}
@@ -296,9 +296,9 @@ func primNconc(in *Interp, args []sexpr.Value) (sexpr.Value, error) {
 		} else if tail != nil {
 			in.rplacdT(tail, a)
 		}
-		// find last cell of a
+		// find last cell of a; the last argument's is never used
 		c, ok := a.(*sexpr.Cell)
-		if !ok {
+		if !ok || i == len(args)-1 {
 			continue
 		}
 		w := sexpr.CdrWalk[*sexpr.Cell]{Op: "nconc"}

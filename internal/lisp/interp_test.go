@@ -491,4 +491,14 @@ func TestCircularListPrimitives(t *testing.T) {
 	if v, err := in.Run("(list (car x) (cadr x) (car (cddr x)) (length (list 1 2 3)))"); err != nil || sexpr.String(v) != "(1 2 1 3)" {
 		t.Errorf("after circular lists: %v %v", v, err)
 	}
+	// nconc never walks its last argument, so a circular last argument
+	// is spliced in, and (nconc z z) makes z circular, as in Lisp.
+	for _, c := range []struct{ src, want string }{
+		{"(setq w (list 5)) (list (car (nconc w x)) (eq (cdr w) x))", "(5 t)"},
+		{"(setq z (list 7 8)) (list (car (nconc z z)) (eq (cddr z) z))", "(7 t)"},
+	} {
+		if v, err := in.Run(c.src); err != nil || sexpr.String(v) != c.want {
+			t.Errorf("%s: %v %v, want %s", c.src, sexpr.String(v), err, c.want)
+		}
+	}
 }

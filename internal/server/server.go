@@ -269,11 +269,14 @@ func decodeJSON(r *http.Request, v any) error {
 // hardened resolveStream path as trace_data and land in the same
 // decode-bytes counter.
 func decodeSimRequest(r *http.Request, req *SimRequest) error {
-	// Read into one buffer sized from Content-Length, within the limit,
-	// rather than one grown from 512 bytes; the extra MinRead bytes let
-	// the read that meets EOF land without growing it.
-	const limit = 16 << 20
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	// Size the buffer from Content-Length rather than grow it from 512
+	// bytes, but reserve at most presize before any byte arrives, so a
+	// client that declares a large body and sends nothing holds little
+	// memory; a larger body grows the buffer as its bytes come in. The
+	// extra MinRead bytes let the read that meets EOF land without
+	// growing it.
+	const limit, presize = 16 << 20, 256 << 10
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), presize)+bytes.MinRead))
 	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, limit)); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -708,5 +709,36 @@ func TestCircularListInBand(t *testing.T) {
 		if _, after := eval(base, "(list (car x) (cadr x) (car (cddr x)))"); after.Error != "" || after.Value != "(1 2 1)" {
 			t.Fatalf("%s: after circular lists: %+v", backend, after)
 		}
+	}
+}
+
+// TestDecodeSimRequestPresize: a /v1/sim body's buffer is sized from
+// Content-Length only up to a fixed amount, so a client that declares a
+// large body and sends little holds little memory, and a body past that
+// amount is still read whole.
+func TestDecodeSimRequestPresize(t *testing.T) {
+	const small = `{"trace":"pearl"}`
+	r := httptest.NewRequest("POST", "/v1/sim", strings.NewReader(small))
+	r.ContentLength = 16 << 20
+	var req SimRequest
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := decodeSimRequest(r, &req); err != nil || req.Trace != "pearl" {
+		t.Fatalf("decode: %v, %+v", err, req)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("a %d-byte body declared as 16 MB allocated %d bytes", len(small), n)
+	}
+
+	body := bytes.Repeat([]byte("SMTB"), 150<<10)
+	r = httptest.NewRequest("POST", "/v1/sim", bytes.NewReader(body))
+	r.Header.Set("Content-Type", "application/x-smtb")
+	req = SimRequest{}
+	if err := decodeSimRequest(r, &req); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(req.TraceData, body) {
+		t.Errorf("a %d-byte raw body read as %d bytes", len(body), len(req.TraceData))
 	}
 }

@@ -341,3 +341,48 @@ func TestSessionCircularLength(t *testing.T) {
 		t.Errorf("after a circular length: %s", got)
 	}
 }
+
+// TestSessionLengthOfHeapList: a list longer than the table lives in the
+// heap, and LENGTHOP's walk expands each heap cell into a fresh LPT entry
+// and frees the ones it has passed, so on a temporary list the same
+// entry ids recur along a finite walk. length must count such a list as
+// the interpreter does, under each decrement policy and free-list
+// discipline, and still find a real cycle.
+func TestSessionLengthOfHeapList(t *testing.T) {
+	const src = "(def f (lambda () (prog (x) (setq x (read x)) (return x)))) " +
+		"(def iota (lambda (n acc) (cond ((zerop n) acc) (t (iota (sub1 n) (cons n acc)))))) " +
+		"(def rev (lambda (l acc) (cond ((null l) acc) (t (rev (cdr l) (cons (car l) acc)))))) " +
+		"(list (length (f)) (length (cdr (f))) (length (rev (f) nil)) (length (rev (iota 600 nil) nil)))"
+	var b strings.Builder
+	b.WriteString("(a b c d e f g h i j) (")
+	for i := range 600 {
+		fmt.Fprintf(&b, "(w%d %d) ", i%50, i)
+	}
+	b.WriteString(") (1 2 3 4 5)")
+	input, err := sexpr.ParseAll(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := lisp.New()
+	in.SetInput(input)
+	want, err := in.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sexpr.String(want) != "(10 599 5 600)" {
+		t.Fatalf("interpreter %s, want (10 599 5 600)", sexpr.String(want))
+	}
+	for _, dec := range []core.DecrementPolicy{core.LazyDecrement, core.RecursiveDecrement} {
+		for _, fl := range []core.FreeDiscipline{core.FreeStack, core.FreeQueue} {
+			m := core.NewMachine(core.Config{LPTSize: 256, Decrement: dec, FreeList: fl})
+			s := NewSession(WithMachine(m), WithInput(input), WithStepLimit(5_000_000))
+			if got := mustRun(t, s, src); got != sexpr.String(want) {
+				t.Errorf("decrement %d, free list %d: vm %s, interpreter %s", dec, fl, got, sexpr.String(want))
+			}
+			s.Run("(setq y (list 1 2 3)) (rplacd (cddr y) y)")
+			if _, err := s.Run("(length y)"); !errors.Is(err, sexpr.ErrCircular) {
+				t.Errorf("decrement %d, free list %d: (length y) of a circular y: %v", dec, fl, err)
+			}
+		}
+	}
+}

@@ -695,13 +695,17 @@ func (v *VM) Run() (sexpr.Value, error) {
 				err = errUnderflow
 				break
 			}
-			n := int64(0)
-			cur := x
-			w := sexpr.CdrWalk[Value]{Op: "length"}
-			for isListKind(cur) {
-				if err = w.Next(cur); err != nil {
+			// The walk runs inside this one instruction, where no step is
+			// counted, so the machine first checks that the cdrs end.
+			if isListKind(x) {
+				if err = v.m.CheckCdrs("length", v.toCore(x)); err != nil {
+					v.release(x)
 					break
 				}
+			}
+			n := int64(0)
+			cur := x
+			for isListKind(cur) {
 				var next Value
 				next, err = v.access1(cur, false)
 				if err != nil {
